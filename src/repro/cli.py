@@ -67,10 +67,10 @@ import os
 import sys
 import time
 
-from repro.asm import assemble, disassemble
+from repro.asm import AsmError, assemble, disassemble
 from repro.core import FetchPolicy, CommitPolicy, MachineConfig, PipelineSim
 from repro.funcsim import FunctionalSim
-from repro.lang import compile_source, compile_to_asm
+from repro.lang import CompileError, compile_source, compile_to_asm
 from repro.mem.cache import CacheConfig
 from repro.workloads import ALL_WORKLOADS, BY_NAME
 
@@ -549,7 +549,8 @@ def cmd_report(args):
         raise CliError("--live/--events/--trace instrument a fresh grid; "
                        "--sweep renders an already-finished one")
     client = None
-    recoverable = (GridError, LedgerError, ValueError, KeyError)
+    recoverable = (GridError, LedgerError, ValueError, KeyError,
+                   CompileError, AsmError)
     if args.service:
         if telemetry is not None:
             raise CliError("--live/--events/--trace watch a local grid; "
@@ -941,8 +942,9 @@ def build_parser():
                          help="listen port (0 picks an ephemeral one, "
                               "printed in the startup banner)")
     p_serve.add_argument("--workers", type=int, default=None,
-                         help="simulation worker processes per dispatch "
-                              "(default: cores - 1, REPRO_WORKERS)")
+                         help="jobs simulated at once, each in its own "
+                              "worker process; 1 runs jobs inline in the "
+                              "server (default: cores - 1, REPRO_WORKERS)")
     p_serve.add_argument("--queue-depth", type=int, default=64,
                          help="max jobs admitted but not yet finished; "
                               "beyond it submissions get 429 queue-full")
@@ -952,14 +954,16 @@ def build_parser():
     p_serve.add_argument("--burst", type=float, default=None,
                          help="token-bucket burst (default: 2x rate)")
     p_serve.add_argument("--timeout", type=float, default=None,
-                         help="per-job wall-clock seconds (run_grid)")
+                         help="per-job wall-clock seconds (run_grid; "
+                              "not enforced with --workers 1)")
     p_serve.add_argument("--retries", type=int, default=2,
                          help="per-job retry budget (run_grid)")
     p_serve.add_argument("--backoff", type=float, default=0.25,
                          help="retry backoff base, seconds (run_grid)")
     p_serve.add_argument("--backend", default="auto",
                          choices=["scalar", "batch", "spec", "auto"],
-                         help="simulation backend for dispatched grids")
+                         help="simulation backend for each one-job "
+                              "dispatch (auto: scalar)")
     p_serve.add_argument("--cache", default=None, metavar="PATH",
                          help="disk result cache (default: REPRO_CACHE or "
                               "~/.cache/repro-sdsp/results.json)")

@@ -50,6 +50,9 @@ data:
   concurrent writers appending different keys cannot interleave and
   clobber each other's entries (last writer wins only for identical
   keys, which hold identical data).
+* **Thread safety.** One in-process lock guards :meth:`get`,
+  :meth:`put`, :meth:`save` and :meth:`counters`, so concurrent
+  dispatcher threads (``repro serve``) can share one cache object.
 """
 
 import itertools
@@ -58,6 +61,7 @@ import json
 import os
 import pathlib
 import tempfile
+import threading
 import warnings
 
 try:
@@ -147,6 +151,7 @@ class DiskResultCache:
         self.dropped = 0
         #: Corrupt files moved aside to ``<name>.corrupt-<n>``.
         self.quarantined = 0
+        self._lock = threading.Lock()
         self._entries, self._engines = self._load()
         self._dirty = False
 
@@ -258,24 +263,26 @@ class DiskResultCache:
         (e.g. hand-edited or merged from a corrupt writer) is dropped
         and answered as a miss rather than poisoning the caller.
         """
-        entry = self._entries.get(key)
-        if entry is not None and self.schema is not None \
-                and not self._payload_ok(entry):
-            del self._entries[key]
-            self._engines.pop(key, None)
-            self._note_dropped(1)
-            entry = None
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and self.schema is not None \
+                    and not self._payload_ok(entry):
+                del self._entries[key]
+                self._engines.pop(key, None)
+                self._note_dropped(1)
+                entry = None
+            if entry is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            return entry
 
     def put(self, key, payload):
         """Store ``payload`` (plain data) under ``key``."""
-        self._entries[key] = payload
-        self._engines[key] = _engine_version()
-        self._dirty = True
+        with self._lock:
+            self._entries[key] = payload
+            self._engines[key] = _engine_version()
+            self._dirty = True
         if self.autosave:
             self.save()
 
@@ -289,33 +296,35 @@ class DiskResultCache:
         completion order of a parallel sweep — and two cache files can
         be diffed line-for-line.
         """
-        if not self._dirty:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with _FileLock(self.path):
-            disk_entries, disk_engines = self._load()
-            for key, payload in disk_entries.items():
-                if key not in self._entries:
-                    self._entries[key] = payload
-                    self._engines[key] = disk_engines.get(key)
-            envelopes = {
-                key: {"engine": self._engines.get(key),
-                      "payload": self._entries[key]}
-                for key in sorted(self._entries)}
-            document = {"format": FILE_FORMAT, "entries": envelopes}
-            fd, tmp = tempfile.mkstemp(dir=str(self.path.parent),
-                                       prefix=self.path.name, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(document, handle, sort_keys=True)
-                os.replace(tmp, self.path)
-            except BaseException:
+        with self._lock:
+            if not self._dirty:
+                return
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with _FileLock(self.path):
+                disk_entries, disk_engines = self._load()
+                for key, payload in disk_entries.items():
+                    if key not in self._entries:
+                        self._entries[key] = payload
+                        self._engines[key] = disk_engines.get(key)
+                envelopes = {
+                    key: {"engine": self._engines.get(key),
+                          "payload": self._entries[key]}
+                    for key in sorted(self._entries)}
+                document = {"format": FILE_FORMAT, "entries": envelopes}
+                fd, tmp = tempfile.mkstemp(dir=str(self.path.parent),
+                                           prefix=self.path.name,
+                                           suffix=".tmp")
                 try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        self._dirty = False
+                    with os.fdopen(fd, "w") as handle:
+                        json.dump(document, handle, sort_keys=True)
+                    os.replace(tmp, self.path)
+                except BaseException:
+                    try:
+                        os.unlink(tmp)
+                    except OSError:
+                        pass
+                    raise
+            self._dirty = False
 
     def counters(self):
         """Session counters as a plain dict.
@@ -325,9 +334,10 @@ class DiskResultCache:
         handy for tests that want exact numbers without parsing
         :meth:`stats_line`.
         """
-        return {"hits": self.hits, "misses": self.misses,
-                "dropped": self.dropped, "quarantined": self.quarantined,
-                "entries": len(self._entries)}
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses,
+                    "dropped": self.dropped, "quarantined": self.quarantined,
+                    "entries": len(self._entries)}
 
     def stats_line(self):
         """One-line hit/miss summary for end-of-session reporting."""

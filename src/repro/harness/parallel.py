@@ -1075,7 +1075,9 @@ def run_grid(jobs, workers=None, verify=True, disk_cache=None,
         Process count (default :func:`default_workers`, which honours
         ``REPRO_WORKERS``). ``1`` runs inline without spawning a pool —
         useful under profilers and in tests; inline runs keep the
-        retry/failure semantics but cannot enforce ``timeout``.
+        retry/failure semantics but cannot enforce ``timeout``. Any
+        larger value uses a pool, even for a single job (it then gets
+        a one-process pool), so ``timeout`` and crash isolation hold.
     verify:
         Check every run's checksum against the workload mirror.
     disk_cache:
@@ -1267,7 +1269,7 @@ def run_grid(jobs, workers=None, verify=True, disk_cache=None,
         disk_cache=disk_cache, rebuilder=rebuilder, resolved=resolved,
         results=results, telemetry=telemetry, interrupt=interrupt)
     try:
-        if workers <= 1 or len(units) == 1:
+        if workers <= 1:
             failures = executor.run_inline(units)
         else:
             failures = executor.run_pool(units)

@@ -20,7 +20,7 @@ the tests can read a scrape without regex archaeology.
 
 All mutation is thread-safe: one lock per registry, shared by every
 family and child, because emission sites live on the asyncio event
-loop, the dispatcher thread, and executor threads simultaneously.
+loop, the dispatcher threads, and executor threads simultaneously.
 Scrapes are rare; increments hold the lock for nanoseconds.
 """
 

@@ -42,7 +42,9 @@ both are present. Like ``chaos`` it is *excluded* from the job id —
 tracing identity never changes simulation identity.
 """
 
+from repro.asm import AsmError
 from repro.core import MachineConfig
+from repro.lang import CompileError
 from repro.obs.ledger import fingerprint
 from repro.workloads import BY_NAME, by_name
 
@@ -138,7 +140,8 @@ def parse_job_request(payload, allow_chaos=False):
     """Validate one submission payload into a :class:`JobRequest`.
 
     Raises :class:`ProtocolError` (status 400, or 403 for refused
-    chaos) with a message naming every problem it can see.
+    chaos) with a message naming every problem it can see — including
+    a workload that does not compile for the requested thread count.
     """
     from repro.harness.parallel import _job_key
 
@@ -180,7 +183,10 @@ def parse_job_request(payload, allow_chaos=False):
     if chaos is not None:
         chaos = _check_chaos(chaos, allow_chaos)
 
-    program = workload.program(config.nthreads, aligned=aligned)
+    try:
+        program = workload.program(config.nthreads, aligned=aligned)
+    except (CompileError, AsmError) as error:
+        raise ProtocolError(str(error)) from error
     job_id = _job_key(workload, config, aligned, program, instrument)
     return JobRequest(workload.name, config, aligned, instrument,
                       sweep_id, client, chaos, job_id,

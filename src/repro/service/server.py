@@ -4,9 +4,10 @@
 (:mod:`repro.service.queue`), coalesces duplicates
 (:mod:`repro.service.dedup`), and dispatches unique jobs onto the
 existing fault-tolerant :func:`repro.harness.parallel.run_grid` event
-loop from a single background dispatcher thread — so every recovery
-path the harness already proves (timeouts, bounded retries,
-``BrokenProcessPool`` culprit isolation, batch degradation,
+loop — one job per ``run_grid`` call, from ``workers`` dispatcher
+threads over one queue, so up to ``workers`` jobs run at once, each in
+its own worker process. Every recovery path the harness already proves
+(timeouts, bounded retries, ``BrokenProcessPool`` recovery,
 incremental disk-cache persistence) serves remote clients unchanged,
 and served results are bit-identical to a direct ``run_grid`` call.
 
@@ -16,17 +17,17 @@ single :class:`~repro.obs.telemetry.SweepTelemetry` hub: one
 when the service starts, one ``queued`` per admitted unique job, the
 relayed per-job lifecycle events of every dispatch, and one terminal
 ``sweep-end`` at drain. Each dispatch's inner ``run_grid`` hub is
-private; :class:`_DispatchRelay` remaps its grid indices onto
-service-global job indices and re-emits, suppressing the inner
+private; :class:`_DispatchRelay` remaps its grid index onto the
+service-global job index and re-emits, suppressing the inner
 sweep-level events — so the server's event log satisfies the same
 accounting invariant as a single sweep (exactly one ``queued`` and one
 terminal event per job) and ``repro sweep`` audits a served session
 exactly like a local one.
 
 **Graceful drain.** SIGTERM/SIGINT stops admission (503 to new
-submissions), lets the dispatcher finish everything already admitted,
+submissions), lets the dispatchers finish everything already admitted,
 publishes each job's terminal ``result`` record to its streaming
-subscribers, appends the ledger (inside ``run_grid``, per dispatch),
+subscribers, appends the ledger (inside ``run_grid``, per job),
 emits ``sweep-end``, and only then lets the process exit. A second
 signal force-quits via ``KeyboardInterrupt``.
 
@@ -59,51 +60,41 @@ _SUPPRESSED_KINDS = ("sweep-start", "sweep-end", "queued", "heartbeat")
 
 
 class _DispatchRelay:
-    """Sink on a dispatch's private hub: remap grid -> service indices.
+    """Sink on a dispatch's private hub: remap grid -> service index.
 
+    A dispatch is a one-job grid, so grid index 0 is always ``entry``.
     Re-emits every per-job event on the service hub (folding it into
-    the server-lifetime metrics and sinks) and fans a copy out to the
-    per-job subscriber streams of the entries it concerns.
+    the server-lifetime metrics and sinks) and publishes a copy to the
+    entry's subscriber streams.
     """
 
-    __slots__ = ("service", "index_map")
+    __slots__ = ("service", "entry")
 
-    def __init__(self, service, index_map):
+    def __init__(self, service, entry):
         self.service = service
-        self.index_map = index_map      # grid index -> JobEntry
+        self.entry = entry
 
     def __call__(self, event):
         if event.kind in _SUPPRESSED_KINDS:
             return
+        entry = self.entry
         data = dict(event.data or {})
         job = None
-        targets = []
         if event.job is not None:
-            entry = self.index_map.get(event.job)
-            if entry is None:
-                return
             job = entry.index
-            targets = [entry]
             if event.kind == "cache-hit":
                 entry.cached = True
             if entry.request.request_id is not None:
                 # Correlate the relayed lifecycle with the HTTP request
                 # that first admitted this job.
                 data.setdefault("request_id", entry.request.request_id)
-        if event.kind == "worker-crash":
-            targets = [self.index_map[victim]
-                       for victim in data.get("victims") or ()
-                       if victim in self.index_map]
-            data["victims"] = sorted(entry.index for entry in targets)
+        elif event.kind == "worker-crash":
+            data["victims"] = [entry.index]
         elif event.kind == "batched":
-            targets = [self.index_map[member]
-                       for member in data.get("members") or ()
-                       if member in self.index_map]
-            data["members"] = sorted(entry.index for entry in targets)
+            data["members"] = [entry.index]
         record = self.service._emit(event.kind, job=job,
                                     workload=event.workload, **data)
-        for entry in targets:
-            entry.publish(record)
+        entry.publish(record)
 
 
 class ServiceMetrics:
@@ -169,15 +160,15 @@ class ServiceMetrics:
             "Admission window depth (--queue-depth).")
         self.pending = registry.gauge(
             "repro_dispatch_pending",
-            "Admitted jobs waiting for the dispatcher thread.")
+            "Admitted jobs waiting for a dispatcher thread.")
         self.running = registry.gauge(
             "repro_jobs_running",
             "Jobs currently inside a run_grid dispatch.")
         self.workers = registry.gauge(
-            "repro_workers", "Worker processes per dispatch.")
+            "repro_workers", "Simulations the service runs at once.")
         self.workers_busy = registry.gauge(
             "repro_workers_busy",
-            "Workers occupied by the current dispatch (0 when idle).")
+            "Workers occupied by running jobs (0 when idle).")
         self.cache_hits = registry.counter(
             "repro_cache_hits_total", "Disk result cache hits.")
         self.cache_misses = registry.counter(
@@ -197,11 +188,12 @@ class JobService:
 
     Parameters mirror ``run_grid`` where they share meaning
     (``workers``, ``timeout``, ``retries``, ``backoff``, ``backend``,
-    ``verify``). ``backend`` accepts every ``run_grid`` value —
-    ``"auto"`` (the default) composes batch and spec per dispatch, and
-    worker processes of every dispatch share one on-disk codegen cache
-    (:mod:`repro.harness.codecache`), so a fleet pays source generation
-    once per config shape for the server's lifetime and beyond. The
+    ``verify``). ``workers`` is how many simulations run at once: the
+    service starts that many dispatcher threads over one queue, and
+    each dispatches one job at a time as a one-job ``run_grid``, which
+    runs it in its own worker process when ``workers >= 2``.
+    ``backend`` accepts every ``run_grid`` value; with one job per
+    grid, ``"auto"`` (the default) picks the scalar interpreter. The
     rest configure the service envelope:
     ``queue_depth``/``rate``/``burst`` the admission controller,
     ``disk_cache``/``ledger`` the durable layers, ``sinks`` the
@@ -228,7 +220,8 @@ class JobService:
                                                      DiskResultCache):
             disk_cache = DiskResultCache(disk_cache,
                                          schema=Runner.RESULT_SCHEMA)
-        self.workers = workers if workers is not None else default_workers()
+        self.workers = (max(1, workers) if workers is not None
+                        else default_workers())
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -251,7 +244,7 @@ class JobService:
         self._clock = clock
         self._queue = queue_mod.Queue()
         self._stop = threading.Event()
-        self._thread = None
+        self._threads = []
         self._emit_lock = threading.Lock()
 
     # ------------------------------------------------------------ telemetry
@@ -259,7 +252,7 @@ class JobService:
     def _emit(self, event_kind, job=None, workload=None, **data):
         """Emit one event on the server-lifetime stream; returns its
         JSONL record. The lock serializes the asyncio thread (queued
-        events) against the dispatcher thread (relayed events). First
+        events) against the dispatcher threads (relayed events). First
         parameter deliberately not named ``kind`` — failure and retry
         events carry a ``kind`` *payload* field via ``**data``."""
         with self._emit_lock:
@@ -270,16 +263,19 @@ class JobService:
     # ------------------------------------------------------------ lifecycle
 
     def start(self):
-        """Emit ``sweep-start`` and start the dispatcher thread."""
+        """Emit ``sweep-start`` and start one dispatcher thread per
+        worker."""
         if self.started:
             return self
         self.started = True
         self._emit("sweep-start", total=0, workers=self.workers,
                    backend=self.backend)
-        self._thread = threading.Thread(target=self._dispatch_loop,
-                                        name="repro-serve-dispatch",
-                                        daemon=True)
-        self._thread.start()
+        self._threads = [
+            threading.Thread(target=self._dispatch_loop,
+                             name=f"repro-serve-dispatch-{n}", daemon=True)
+            for n in range(self.workers)]
+        for thread in self._threads:
+            thread.start()
         return self
 
     def begin_drain(self):
@@ -290,7 +286,7 @@ class JobService:
         """Graceful shutdown: stop admitting, finish everything
         admitted, emit the terminal ``sweep-end``.
 
-        Blocks until the dispatcher has drained its queue (every
+        Blocks until the dispatchers have drained the queue (every
         admitted job reaches exactly one terminal state and its
         subscribers receive the final ``result`` record) or ``timeout``
         expires. Idempotent.
@@ -299,17 +295,19 @@ class JobService:
             return self
         self.begin_drain()
         self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout)
-            if not self._thread.is_alive():
-                # Belt and braces: the queue is drained, so nothing
-                # should still be open — but a dispatcher died mid-batch
-                # must not leave a job without a terminal event.
-                for entry in self.registry.entries():
-                    if not entry.terminal:
-                        self._fail_entry(entry, "interrupted",
-                                         "service drained before the job "
-                                         "finished")
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for thread in self._threads:
+            thread.join(None if deadline is None
+                        else max(deadline - time.monotonic(), 0.0))
+        if self._threads and not any(t.is_alive() for t in self._threads):
+            # Belt and braces: the queue is drained, so nothing should
+            # still be open — but a dispatcher that died mid-job must
+            # not leave a job without a terminal event.
+            for entry in self.registry.entries():
+                if not entry.terminal:
+                    self._fail_entry(entry, "interrupted",
+                                     "service drained before the job "
+                                     "finished")
         if self.started:
             with self._emit_lock:
                 self.hub.sweep_end(cache=(self.disk_cache.counters()
@@ -390,8 +388,8 @@ class JobService:
             "backend": self.backend,
             "started": self.started,
             "drained": self.drained,
-            "dispatcher_alive": bool(self._thread is not None
-                                     and self._thread.is_alive()),
+            "dispatcher_alive": bool(self._threads) and all(
+                thread.is_alive() for thread in self._threads),
             "pending_dispatch": self._queue.qsize(),
             "jobs": self.registry.counts(),
             "admission": self.admission.snapshot(),
@@ -400,7 +398,8 @@ class JobService:
         }
 
     def ready(self):
-        """``(ok, snapshot)`` — ready means admitting and dispatching."""
+        """``(ok, snapshot)`` — ready means admitting with every
+        dispatcher thread alive."""
         snapshot = self.snapshot()
         ok = (self.started and not self.drained
               and not snapshot["admission"]["draining"]
@@ -427,9 +426,11 @@ class JobService:
         m.coalesced.set_to(admission["coalesced"])
         m.inflight.set(admission["inflight"])
         m.inflight_limit.set(admission["depth"])
+        running = snapshot["jobs"]["running"]
         m.pending.set(snapshot["pending_dispatch"])
-        m.running.set(snapshot["jobs"]["running"])
-        m.workers.set(snapshot["workers"])
+        m.running.set(running)
+        m.workers.set(self.workers)
+        m.workers_busy.set(min(self.workers, running))
         cache = snapshot["cache"]
         if cache is not None:
             m.cache_hits.set_to(cache["hits"])
@@ -442,11 +443,12 @@ class JobService:
     # ------------------------------------------------------------- dispatch
 
     def _dispatch_loop(self):
-        """Dispatcher thread: batch queued entries into ``run_grid``
-        calls, grouped by ``(sweep_id, aligned, instrument)``."""
+        """Dispatcher thread: take one queued entry at a time and run it
+        as a one-job ``run_grid``. ``workers`` of these share the queue,
+        so up to ``workers`` jobs run at once."""
         while True:
             try:
-                first = self._queue.get(timeout=0.05)
+                entry = self._queue.get(timeout=0.05)
             except queue_mod.Empty:
                 if self._stop.is_set():
                     return
@@ -457,33 +459,19 @@ class JobService:
                         queued=counts["queued"],
                         inflight=self.admission.inflight)
                 continue
-            batch = [first]
-            while True:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except queue_mod.Empty:
-                    break
-            groups = {}
-            for entry in batch:
-                request = entry.request
-                key = (request.sweep_id, request.aligned, request.instrument)
-                groups.setdefault(key, []).append(entry)
-            for key, entries in groups.items():
-                self._dispatch(key, entries)
+            self._dispatch(entry)
 
-    def _chaos_plan(self, entries):
-        """Merge the entries' over-the-wire chaos rules into one
-        :class:`FaultPlan` keyed by grid index."""
-        plan = None
-        for grid_index, entry in enumerate(entries):
-            chaos = entry.request.chaos
-            if not chaos:
-                continue
-            if plan is None:
-                from repro.faults import FaultPlan
-                plan = FaultPlan()
-            for rule, kwargs in chaos.items():
-                getattr(plan, rule)(indices=[grid_index], **kwargs)
+    @staticmethod
+    def _chaos_plan(entry):
+        """The entry's over-the-wire chaos rules as a :class:`FaultPlan`
+        on grid index 0, or ``None``."""
+        chaos = entry.request.chaos
+        if not chaos:
+            return None
+        from repro.faults import FaultPlan
+        plan = FaultPlan()
+        for rule, kwargs in chaos.items():
+            getattr(plan, rule)(indices=[0], **kwargs)
         return plan
 
     def _fail_entry(self, entry, kind, message, attempts=0):
@@ -509,65 +497,49 @@ class JobService:
             return None
         return lambda state: self.metrics.completed.labels(state=state).inc()
 
-    def _dispatch(self, key, entries):
-        """Run one entry group through ``run_grid`` and settle it."""
-        sweep_id, aligned, instrument = key
-        for entry in entries:
-            entry.mark_running()
-        index_map = dict(enumerate(entries))
-        relay = _DispatchRelay(self, index_map)
+    def _dispatch(self, entry):
+        """Run one entry through a one-job ``run_grid`` and settle it."""
+        request = entry.request
+        entry.mark_running()
         from repro.obs.telemetry import SweepTelemetry
-        inner = SweepTelemetry(sinks=(relay,), heartbeat=self.heartbeat,
-                               clock=self._clock)
-        jobs = [(entry.request.workload, entry.request.config)
-                for entry in entries]
-        request_ids = {grid_index: entry.request.request_id
-                       for grid_index, entry in enumerate(entries)
-                       if entry.request.request_id is not None}
+        inner = SweepTelemetry(sinks=(_DispatchRelay(self, entry),),
+                               heartbeat=self.heartbeat, clock=self._clock)
         if self.metrics is not None:
-            self.metrics.executed.inc(len(entries))
-            self.metrics.workers_busy.set(min(self.workers, len(entries)))
+            self.metrics.executed.inc()
         try:
-            results = run_grid(
-                jobs, workers=self.workers, verify=self.verify,
-                disk_cache=self.disk_cache, aligned=aligned,
-                instrument=instrument, backend=self.backend,
-                timeout=self.timeout, retries=self.retries,
-                backoff=self.backoff, strict=False,
-                fault_plan=self._chaos_plan(entries),
-                ledger=self.ledger, telemetry=inner, sweep_id=sweep_id,
-                request_ids=request_ids or None)
+            result, = run_grid(
+                [(request.workload, request.config)], workers=self.workers,
+                verify=self.verify, disk_cache=self.disk_cache,
+                aligned=request.aligned, instrument=request.instrument,
+                backend=self.backend, timeout=self.timeout,
+                retries=self.retries, backoff=self.backoff, strict=False,
+                fault_plan=self._chaos_plan(entry), ledger=self.ledger,
+                telemetry=inner, sweep_id=request.sweep_id,
+                request_ids=({0: request.request_id}
+                             if request.request_id is not None else None))
         except Exception as error:  # noqa: BLE001 — dispatcher must survive
-            message = f"dispatch error: {error!r}"
-            for entry in entries:
-                if not entry.terminal:
-                    self._fail_entry(entry, "dispatch", message)
-            if self.metrics is not None:
-                self.metrics.workers_busy.set(0)
+            if not entry.terminal:
+                self._fail_entry(entry, "dispatch",
+                                 f"dispatch error: {error!r}")
             return
-        ok_count = 0
         count = self._count_completion
-        for entry, result in zip(entries, results):
-            if result is not None and result.ok:
-                ok_count += 1
-                done = entry.finish(DONE, result=Runner._to_payload(result),
-                                    on_transition=count)
-            else:
-                failure = ({"kind": result.kind, "message": result.message,
-                            "attempts": result.attempts}
-                           if result is not None else
-                           {"kind": "lost", "attempts": 0,
-                            "message": "run_grid returned no result"})
-                done = entry.finish(FAILED, failure=failure,
-                                    on_transition=count)
-            if done:
-                self.admission.release_slot()
-        if self.metrics is not None:
-            self.metrics.workers_busy.set(0)
-            if self.ledger is not None:
-                # run_grid appended one record per successful result
-                # (cache hits included).
-                self.metrics.ledger_appends.inc(ok_count)
+        ok = result is not None and result.ok
+        if ok:
+            done = entry.finish(DONE, result=Runner._to_payload(result),
+                                on_transition=count)
+        else:
+            failure = ({"kind": result.kind, "message": result.message,
+                        "attempts": result.attempts}
+                       if result is not None else
+                       {"kind": "lost", "attempts": 0,
+                        "message": "run_grid returned no result"})
+            done = entry.finish(FAILED, failure=failure, on_transition=count)
+        if done:
+            self.admission.release_slot()
+        if ok and self.metrics is not None and self.ledger is not None:
+            # run_grid appended one record for the successful result
+            # (a cache hit included).
+            self.metrics.ledger_appends.inc()
 
 
 # --------------------------------------------------------------- HTTP layer

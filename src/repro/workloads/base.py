@@ -1,6 +1,7 @@
 """Workload abstraction shared by tests, examples, and the harness."""
 
-from repro.lang import compile_source
+from repro.asm import AsmError
+from repro.lang import CompileError, compile_source
 
 
 class Workload:
@@ -34,13 +35,18 @@ class Workload:
         """Program compiled for an N-way register partition (cached).
 
         ``aligned`` applies the branch-target alignment optimization
-        (paper Section 6.1, improvement 2).
+        (paper Section 6.1, improvement 2). A build error is re-raised
+        as the same type with the workload and thread count prepended.
         """
         key = (nthreads, aligned)
         if key not in self._programs:
-            self._programs[key] = compile_source(
-                self.source, nthreads=nthreads,
-                align_branch_targets=aligned)
+            try:
+                self._programs[key] = compile_source(
+                    self.source, nthreads=nthreads,
+                    align_branch_targets=aligned)
+            except (CompileError, AsmError) as error:
+                raise type(error)(f"{self.name} does not compile for "
+                                  f"{nthreads} threads: {error}") from error
         return self._programs[key]
 
     def expected(self, nthreads):

@@ -95,6 +95,17 @@ def test_missing_source_file_exits_2(capsys):
     assert "cannot read" in err and err.count("\n") == 1
 
 
+def test_report_point_that_does_not_compile_exits_2(capsys):
+    # LL7 runs out of registers at 8 threads, inside the default 1-8
+    # thread range: one line naming the point, not a traceback.
+    assert main(["report", "--experiment", "threads", "--workloads",
+                 "LL7", "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "LL7 does not compile for 8 threads" in err
+    assert "out of registers" in err
+
+
 def test_invalid_config_exits_2(capsys):
     # su_entries not a multiple of the block size: a config error must
     # exit 2 with a one-line message, not a ValueError traceback.

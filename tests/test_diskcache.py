@@ -1,6 +1,8 @@
 """Persistent result cache: keying, round-trip, merge, corruption."""
 
 import json
+import sys
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -70,6 +72,48 @@ def test_save_survives_concurrent_writer_processes(tmp_path):
     for w in range(workers):
         for n in range(keys_each):
             assert merged.get(f"w{w}-k{n}") == {"worker": w, "n": n}
+
+
+def test_one_cache_shared_by_threads_loses_nothing(tmp_path):
+    """8 threads put and get distinct keys on one shared cache object:
+    every key reaches disk and the hit/miss counters are exact."""
+    path = tmp_path / "cache.json"
+    cache = DiskResultCache(path)
+    threads, keys_each = 8, 25
+    # Switch threads as often as possible to provoke interleavings.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    barrier = threading.Barrier(threads)
+    errors = []
+
+    def _worker(w):
+        try:
+            barrier.wait(10)
+            for n in range(keys_each):
+                key = f"t{w}-k{n}"
+                assert cache.get(key) is None
+                cache.put(key, {"thread": w, "n": n})
+                assert cache.get(key) == {"thread": w, "n": n}
+        except Exception as error:  # noqa: BLE001 — surfaced below
+            errors.append(error)
+
+    pool = [threading.Thread(target=_worker, args=(w,))
+            for w in range(threads)]
+    try:
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    total = threads * keys_each
+    assert cache.counters() == {"hits": total, "misses": total,
+                                "dropped": 0, "quarantined": 0,
+                                "entries": total}
+    on_disk = json.loads(path.read_text())["entries"]
+    assert set(on_disk) == {f"t{w}-k{n}" for w in range(threads)
+                            for n in range(keys_each)}
 
 
 def test_corrupt_file_quarantined_not_deleted(tmp_path):

@@ -89,6 +89,16 @@ def test_protocol_chaos_gated_and_validated():
                           allow_chaos=True)
 
 
+def test_submission_that_does_not_compile_is_a_400():
+    # LL7 runs out of registers at 8 threads: a client error naming the
+    # point, not a 500 from an escaped CompileError.
+    service, _ = _collecting_service()
+    status, doc, _ = service.submit(_payload("LL7", nthreads=8))
+    service.drain()
+    assert status == 400
+    assert "LL7 does not compile for 8 threads" in doc["error"]
+
+
 def test_job_id_is_content_addressed_cache_key():
     one = parse_job_request(_payload())
     two = parse_job_request(_payload())
@@ -329,6 +339,72 @@ def test_transient_fault_is_retried_transparently():
     assert any(e["event"] == "retry" and e.get("job") == entry.index
                for e in events)
     assert summarize(events)["violations"] == []
+
+
+def _wait_for(predicate, seconds=60):
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def test_jobs_run_concurrently_and_timeout_is_enforced():
+    """With two workers a hung job neither blocks its neighbour nor
+    escapes ``timeout``: B finishes while A hangs, then A is timed out
+    in its own worker process, retried, and finishes."""
+    service, events = _collecting_service(workers=2, timeout=3,
+                                          allow_chaos=True)
+    _, doc_a, _ = service.submit(
+        _payload("LL11", chaos={"hang": {"attempts": 1}}))
+    entry_a = service.registry.get(doc_a["job_id"])
+    _wait_for(lambda: any(e["event"] == "started"
+                          and e.get("job") == entry_a.index
+                          for e in list(events)))
+    _, doc_b, _ = service.submit(_payload("LL5"))
+    entry_b = service.registry.get(doc_b["job_id"])
+    assert entry_b.wait(120) and entry_a.wait(120)
+    service.drain()
+    assert (entry_a.state, entry_b.state) == ("done", "done")
+
+    def position(kind, entry):
+        return next(n for n, e in enumerate(events)
+                    if e["event"] == kind and e.get("job") == entry.index)
+
+    assert position("done", entry_b) < position("timeout", entry_a)
+    assert any(e["event"] == "retry" and e.get("job") == entry_a.index
+               and e["kind"] == "timeout" for e in events)
+    assert summarize(events)["violations"] == []
+
+
+def test_workers_busy_gauge_counts_running_jobs():
+    from repro.obs.runtime import MetricsRegistry, parse_promtext
+
+    service, _ = _collecting_service(workers=2, allow_chaos=True,
+                                     metrics=MetricsRegistry())
+
+    def gauges():
+        samples = parse_promtext(service.render_metrics())
+        return {name: samples[name][0][1]
+                for name in ("repro_workers", "repro_workers_busy",
+                             "repro_jobs_running")}
+
+    # Two jobs that sleep in their workers, one much longer.
+    _, short, _ = service.submit(
+        _payload("LL11", chaos={"hang": {"attempts": 1, "seconds": 0.5}}))
+    _, long, _ = service.submit(
+        _payload("LL5", chaos={"hang": {"attempts": 1, "seconds": 3}}))
+    short = service.registry.get(short["job_id"])
+    long = service.registry.get(long["job_id"])
+    _wait_for(lambda: service.registry.counts()["running"] == 2)
+    assert gauges() == {"repro_workers": 2, "repro_workers_busy": 2,
+                        "repro_jobs_running": 2}
+    # One dispatch ending must not zero the gauge while another runs.
+    assert short.wait(120) and long.state == "running"
+    assert gauges() == {"repro_workers": 2, "repro_workers_busy": 1,
+                        "repro_jobs_running": 1}
+    assert long.wait(120)
+    service.drain()
+    assert gauges()["repro_workers_busy"] == 0
 
 
 # ------------------------------------------------------------ HTTP layer

@@ -167,6 +167,24 @@ def _check(docs, errors, health):
     return problems
 
 
+def _check_pool_loss(docs, events_path):
+    """The pool-loss job really lost its worker process and was retried:
+    a ``worker-crash`` naming it and a ``retry`` of kind ``crash``."""
+    doc = docs.get(POOL_LOSS)
+    if doc is None:
+        return []       # already reported as a client error
+    index = doc["index"]
+    events = load_events(events_path)
+    problems = []
+    if not any(e["event"] == "worker-crash" and index in e.get("victims", ())
+               for e in events):
+        problems.append(f"pool-loss job {index}: no worker-crash event")
+    if not any(e["event"] == "retry" and e.get("job") == index
+               and e.get("kind") == "crash" for e in events):
+        problems.append(f"pool-loss job {index}: no retry of kind crash")
+    return problems
+
+
 def _sum(samples, name, **match):
     return sum(value for labels, value in samples.get(name, ())
                if all(labels.get(k) == v for k, v in match.items()))
@@ -258,6 +276,7 @@ def main(argv=None):
         print(f"chaos drill: final /metrics scrape -> {args.metrics_out}")
 
     problems = _check(docs, errors, health)
+    problems += _check_pool_loss(docs, args.events)
     problems += _check_metrics(mid_scrape, final_scrape, health,
                                args.events)
     if server.returncode != 0:
