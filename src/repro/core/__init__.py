@@ -17,13 +17,11 @@ from repro.core.config import (
     FU_LATENCY,
     MachineConfig,
 )
-from repro.core.batch import BatchEngine, run_batch
 from repro.core.branch import BranchPredictor
 from repro.core.pipeline import PipelineSim
 from repro.core.stats import SimStats
 
 __all__ = [
-    "BatchEngine",
     "BranchPredictor",
     "CommitPolicy",
     "FetchPolicy",
@@ -33,5 +31,4 @@ __all__ = [
     "MachineConfig",
     "PipelineSim",
     "SimStats",
-    "run_batch",
 ]

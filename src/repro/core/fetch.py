@@ -191,7 +191,9 @@ class FetchUnit:
         span in which every candidate is masked is inert until the next
         commit-enabling event, and ``select_thread`` provably mutates
         nothing meanwhile (the rotation pointer moves only on an actual
-        selection).
+        selection). The pipeline only relies on this when the masks
+        already match what the next commit stage would set; a writeback
+        can change that state one cycle before the masks follow.
         """
         masked = self.masked if self.policy is FetchPolicy.MASKED_RR else None
         horizon = None

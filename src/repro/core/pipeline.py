@@ -92,8 +92,10 @@ from repro.obs.events import (CommitEvent, DecodeEvent, FetchEvent,
 #: are then ignored rather than silently reused. Version 3 is the
 #: next-event fast-forward engine — cycle counts are unchanged, but the
 #: bump retires every cache entry produced before its safety nets were
-#: in place.
-ENGINE_VERSION = 3
+#: in place. Version 4 stops the fast-forward from skipping the cycle in
+#: which a masked-RR mask changes; fast-forward runs of such shapes now
+#: match the per-cycle loop.
+ENGINE_VERSION = 4
 
 _NO_FORWARD = object()
 
@@ -383,14 +385,14 @@ class PipelineSim:
         A cycle is provably inert when the earliest pending result is
         not due, the front end is stalled (fetch buffer blocked on a
         full SU / scoreboard hazard, or no thread fetchable — masked
-        threads count as unfetchable), the store buffer cannot drain,
-        no block can commit, and :meth:`_issue_horizon` proves no ready
-        entry can issue. Machine state is then frozen: the only
-        time-dependent predicates are the ones the next-event horizon
-        covers — the earliest pending result (which subsumes dcache
-        refill completions), the store buffer's drain slot, the
-        earliest unpipelined-divider release, and a thread's
-        instruction-cache refill. The clock jumps to the minimum of
+        threads count as unfetchable once their masks are up to date),
+        the store buffer cannot drain, no block can commit, and
+        :meth:`_issue_horizon` proves no ready entry can issue. Machine
+        state is then frozen: the only time-dependent predicates are the
+        ones the next-event horizon covers — the earliest pending result
+        (which subsumes dcache refill completions), the store buffer's
+        drain slot, the earliest unpipelined-divider release, and a
+        thread's instruction-cache refill. The clock jumps to the minimum of
         those, for *every* stall class (fu-latency, dcache-miss,
         commit-wait, sync), and the skipped cycles are charged to
         exactly the stall counters — and attribution class — the
@@ -401,6 +403,11 @@ class PipelineSim:
         now = self.cycle
         pending = self._wb_cycles
         if pending and pending[0] <= now:
+            return
+        if self._masked and self._desired_masks() != self.fetch_unit.masked:
+            # Masks are re-derived in this cycle's commit stage; a
+            # writeback in the previous cycle may have lifted (or set)
+            # one, so the front end is not provably stalled.
             return
         fetch_idle = self.fetch_buffer is None
         if fetch_idle:
@@ -715,9 +722,13 @@ class PipelineSim:
         divide in flight — the paper notes masking is most beneficial
         when the failing operation has a long latency.
         """
-        fetch_unit = self.fetch_unit
-        nthreads = self.config.nthreads
-        desired = [False] * nthreads
+        set_mask = self.fetch_unit.set_mask
+        for tid, masked in enumerate(self._desired_masks()):
+            set_mask(tid, masked, now)
+
+    def _desired_masks(self):
+        """Per-thread mask state the current machine state calls for."""
+        desired = [False] * self.config.nthreads
         blocks = self.su.blocks
         if self.config.masked_criterion == "commit_stall":
             if blocks and blocks[0].not_done:
@@ -725,8 +736,7 @@ class PipelineSim:
         else:
             for tid in self.su.threads_with_inflight(_DIV_CLASSES):
                 desired[tid] = True
-        for tid in range(nthreads):
-            fetch_unit.set_mask(tid, desired[tid], now)
+        return desired
 
     # --------------------------------------------------------- writeback
 

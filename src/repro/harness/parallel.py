@@ -61,13 +61,13 @@ Sweep telemetry
 ---------------
 Pass ``telemetry=`` (a :class:`repro.obs.telemetry.SweepTelemetry`) or
 ``progress=`` and the event loop narrates itself: one typed event per
-job-lifecycle transition (``queued``, ``cache-hit``, ``batched``,
-``started``, ``retry``, ``timeout``, ``worker-crash``,
-``degraded-to-scalar``, ``done``, ``failed``) plus throttled worker
-heartbeats and a final metrics snapshot. Every hook below is a bare
-``is None`` predicate — with no hub attached nothing is imported and
-nothing is called (the PR-2 zero-overhead contract, enforced by
-``tests/test_obs_overhead.py``). See ``docs/OBSERVABILITY.md``.
+job-lifecycle transition (``queued``, ``cache-hit``, ``started``,
+``retry``, ``timeout``, ``worker-crash``, ``done``, ``failed``) plus
+throttled worker heartbeats and a final metrics snapshot. Every hook
+below is a bare ``is None`` predicate — with no hub attached nothing is
+imported and nothing is called (the PR-2 zero-overhead contract,
+enforced by ``tests/test_obs_overhead.py``). See
+``docs/OBSERVABILITY.md``.
 """
 
 import os
@@ -225,102 +225,14 @@ def _run_job(job):
     from repro.workloads import by_name
 
     (wname, spec, aligned, verify, instrument,
-     plan, index, attempt, inline, backend) = job
+     plan, index, attempt, inline) = job
     if plan is not None:
         plan.apply(index, attempt, inline=inline)
     workload = by_name(wname)
     config = MachineConfig.from_spec(spec)
-    runner = Runner(verify=verify, instrument=instrument, backend=backend)
+    runner = Runner(verify=verify, instrument=instrument)
     result = runner.run(workload, config, aligned=aligned)
     return Runner._to_payload(result)
-
-
-def _member_failure(kind, exc_or_message):
-    """Per-member failure envelope of a batch group.
-
-    ``retryable`` is decided here, in the worker, from the live
-    exception type — the parent only sees the envelope (a pickled
-    exception would not survive every transport).
-    """
-    retryable = (isinstance(exc_or_message, BaseException)
-                 and _retryable(exc_or_message))
-    return {"ok": False, "kind": kind, "message": str(exc_or_message),
-            "retryable": retryable}
-
-
-def _run_batch_job(job):
-    """Worker entry point: simulate one same-program batch group.
-
-    ``job`` carries parallel lists (``specs``, ``indices``,
-    ``attempts``) describing the members. Returns a list aligned with
-    them: ``{"ok": True, "payload": ...}`` per completed member (the
-    payload is :meth:`Runner._to_payload` with ``backend="batch"`` and
-    an amortized ``wall_seconds``) or a :func:`_member_failure`
-    envelope. One member raising — at fault injection, configuration
-    parse, simulation, or verification — never poisons its batch-mates:
-    every other member still returns its own outcome.
-    """
-    from repro.core.batch import BatchEngine
-    from repro.harness.runner import RunResult, decoded_program
-    from repro.workloads import by_name
-
-    (wname, specs, aligned, verify, instrument,
-     plan, indices, attempts, inline) = job
-    workload = by_name(wname)
-    outs = [None] * len(specs)
-    live = []       # positions whose config parsed (and faults passed)
-    configs = []
-    nthreads = None
-    for pos, spec in enumerate(specs):
-        try:
-            if plan is not None:
-                plan.apply(indices[pos], attempts[pos], inline=inline)
-            config = MachineConfig.from_spec(spec)
-            if nthreads is None:
-                nthreads = config.nthreads
-            elif config.nthreads != nthreads:
-                # Grouping keys on the program hash, and programs are
-                # compiled per register partition — a mixed group would
-                # silently simulate the wrong binary. Refuse the member.
-                raise ValueError(
-                    f"batch member nthreads={config.nthreads} does not "
-                    f"match the group's program (nthreads={nthreads})")
-        except Exception as exc:
-            outs[pos] = _member_failure("exception", exc)
-            continue
-        live.append(pos)
-        configs.append(config)
-    if not live:
-        return outs
-    program, _ = decoded_program(workload, nthreads, aligned=aligned)
-    engine = BatchEngine(program, configs, instrument=instrument)
-    start = time.perf_counter()
-    outcomes = engine.run()
-    wall = time.perf_counter() - start
-    total_cycles = sum(o.stats.cycles for o in outcomes if o.ok)
-    checksum_addr = workload.checksum_address(nthreads)
-    for pos, outcome in zip(live, outcomes):
-        if not outcome.ok:
-            outs[pos] = _member_failure("exception", outcome.error)
-            continue
-        stats = outcome.stats
-        # Amortized per-member share of the batch wall clock: the
-        # members ran interleaved, so exclusive per-member time does
-        # not exist; weight by simulated cycles (the work actually
-        # done), falling back to an even split for zero-cycle batches.
-        share = (wall * stats.cycles / total_cycles if total_cycles
-                 else wall / len(live))
-        checksum = outcome.sim.mem(checksum_addr)
-        verified = workload.verify(checksum, nthreads)
-        if verify and not verified:
-            outs[pos] = _member_failure("exception", AssertionError(
-                f"{workload.name} with {nthreads} threads computed "
-                f"{checksum!r}, expected {workload.expected(nthreads)!r}"))
-            continue
-        result = RunResult(workload, nthreads, stats, checksum, verified,
-                           share, backend="batch")
-        outs[pos] = {"ok": True, "payload": Runner._to_payload(result)}
-    return outs
 
 
 def default_workers():
@@ -344,7 +256,7 @@ class _Job:
     """Parent-side bookkeeping for one in-flight or queued grid job."""
 
     __slots__ = ("index", "key", "wname", "spec", "attempts", "eligible_at",
-                 "deadline", "backend")
+                 "deadline")
 
     def __init__(self, index, key, wname, spec):
         self.index = index
@@ -354,61 +266,6 @@ class _Job:
         self.attempts = 0       # attempts charged (begun and accounted)
         self.eligible_at = 0.0  # monotonic time before which not to submit
         self.deadline = None    # monotonic deadline of the running attempt
-        self.backend = "scalar"  # per-job engine: "scalar" or "spec"
-
-
-class _BatchJob:
-    """A group of same-program `_Job`\\ s dispatched as one batch task.
-
-    Quacks enough like a :class:`_Job` for the executor's scheduling
-    predicates (``index``/``eligible_at``/``deadline``); attempt
-    accounting stays on the member jobs. A batch gets exactly one shot
-    as a batch — any member that fails out of it (or the whole group,
-    on a crash or timeout) re-enters the queue as scalar singles, which
-    keeps every retry/timeout/suspect-isolation path the battle-tested
-    scalar one.
-    """
-
-    __slots__ = ("members", "wname", "eligible_at", "deadline")
-
-    def __init__(self, members):
-        self.members = members
-        self.wname = members[0].wname
-        self.eligible_at = 0.0
-        self.deadline = None
-
-    @property
-    def index(self):
-        return self.members[0].index
-
-
-def _group_batches(pending, resolved, aligned, instrument, min_group):
-    """Partition pending jobs into batch groups and scalar leftovers.
-
-    Groups key on ``(workload, nthreads, program hash, instrument)`` —
-    members of a group share one decoded program, which is what the
-    batch engine amortizes. Groups smaller than ``min_group`` stay
-    scalar (the amortization would not cover the batch envelope).
-    Returns the work-unit list in first-member order, so result slots
-    and ledger output stay deterministic.
-    """
-    from repro.harness.runner import decoded_program
-
-    groups = {}
-    for job in pending:
-        workload, config = resolved[job.index]
-        _, phash = decoded_program(workload, config.nthreads,
-                                   aligned=aligned)
-        key = (workload.name, config.nthreads, phash, instrument)
-        groups.setdefault(key, []).append(job)
-    units = []
-    for members in groups.values():
-        if len(members) >= min_group:
-            units.append(_BatchJob(members))
-        else:
-            units.extend(members)
-    units.sort(key=lambda unit: unit.index)
-    return units
 
 
 def _retryable(exc):
@@ -488,24 +345,14 @@ class _GridExecutor:
 
     # -------------------------------------------------------- inline path
 
-    def run_inline(self, units):
-        """Execute every work unit in-process (``workers=1``): no pool,
-        no per-job timeout enforcement, but identical retry/backoff and
-        failure-record semantics. A batch group runs through the batch
-        engine exactly once; members that fail out of it re-enter the
-        queue as scalar singles."""
-        queue = deque(units)
+    def run_inline(self, jobs):
+        """Execute every job in-process (``workers=1``): no pool, no
+        per-job timeout enforcement, but identical retry/backoff and
+        failure-record semantics."""
+        queue = deque(jobs)
         try:
             while queue:
-                unit = queue.popleft()
-                if isinstance(unit, _BatchJob):
-                    try:
-                        queue.extend(self._batch_inline(unit))
-                    except KeyboardInterrupt:
-                        self._interrupt_unit(unit)
-                        raise
-                    continue
-                job = unit
+                job = queue.popleft()
                 while True:
                     job.attempts += 1
                     if self.telemetry is not None:
@@ -516,36 +363,20 @@ class _GridExecutor:
                         self._record(job, payload)
                         break
                     except KeyboardInterrupt:
-                        self._interrupt_unit(job)
+                        self._interrupt_job(job)
                         raise
                     except Exception as exc:
                         if not self._maybe_retry(job, "exception", exc,
                                                  sleep=True):
                             break
         except KeyboardInterrupt:
-            # Inline graceful interruption: the in-flight unit has been
+            # Inline graceful interruption: the in-flight job has been
             # recorded by the raiser above; everything still queued is
             # recorded here. A second signal raises out of this drain.
             self.interrupted = True
             while queue:
-                self._interrupt_unit(queue.popleft())
+                self._interrupt_job(queue.popleft())
         return self.failures
-
-    def _batch_inline(self, batch):
-        """One inline batch attempt; returns the members to retry."""
-        for member in batch.members:
-            member.attempts += 1
-            if self.telemetry is not None:
-                self.telemetry.job_started(member.index, member.wname,
-                                           member.attempts, batched=True)
-        try:
-            outs = _run_batch_job(self._batch_args(batch, inline=True))
-        except Exception as exc:
-            # The group raised outside per-member isolation (worker
-            # setup, a malformed group): every member shares the outcome.
-            outs = [_member_failure("exception", exc)] * len(batch.members)
-        return [member for member, out in zip(batch.members, outs)
-                if self._absorb_member(member, out, sleep=True)]
 
     # ---------------------------------------------------------- pool path
 
@@ -581,19 +412,12 @@ class _GridExecutor:
     def _args(self, job, inline):
         return (job.wname, job.spec, self.aligned, self.verify,
                 self.instrument, self.fault_plan, job.index,
-                job.attempts - 1, inline, job.backend)
-
-    def _batch_args(self, batch, inline):
-        members = batch.members
-        return (batch.wname, [m.spec for m in members], self.aligned,
-                self.verify, self.instrument, self.fault_plan,
-                [m.index for m in members],
-                [m.attempts - 1 for m in members], inline)
+                job.attempts - 1, inline)
 
     def _submit_eligible(self):
-        """Fill free pool slots with eligible queued work units.
+        """Fill free pool slots with eligible queued jobs.
 
-        During suspect isolation only one unit runs at a time, and
+        During suspect isolation only one job runs at a time, and
         suspects go first, so the culprit of an unattributed crash is
         identified (or exonerated) as quickly as possible.
         """
@@ -610,44 +434,22 @@ class _GridExecutor:
             if job.eligible_at > now:
                 continue
             self.queue.remove(job)
-            batch = isinstance(job, _BatchJob)
-            if batch:
-                for member in job.members:
-                    member.attempts += 1
-                task, args = _run_batch_job, self._batch_args(job,
-                                                              inline=False)
-            else:
-                job.attempts += 1
-                task, args = _run_job, self._args(job, inline=False)
+            job.attempts += 1
             try:
-                future = self.pool.submit(task, args)
+                future = self.pool.submit(_run_job,
+                                          self._args(job, inline=False))
             except (BrokenProcessPool, RuntimeError):
                 # Pool died between collections; undo and recover.
-                if batch:
-                    for member in job.members:
-                        member.attempts -= 1
-                else:
-                    job.attempts -= 1
+                job.attempts -= 1
                 self.queue.appendleft(job)
                 self._recover_broken()
                 return
-            if self.timeout is None:
-                job.deadline = None
-            else:
-                # A batch is N simulations in one task; its wall-clock
-                # allowance scales with the member count.
-                scale = len(job.members) if batch else 1
-                job.deadline = now + self.timeout * scale
+            job.deadline = (None if self.timeout is None
+                            else now + self.timeout)
             self.inflight[future] = job
             if self.telemetry is not None:
-                if batch:
-                    for member in job.members:
-                        self.telemetry.job_started(
-                            member.index, member.wname, member.attempts,
-                            batched=True)
-                else:
-                    self.telemetry.job_started(job.index, job.wname,
-                                               job.attempts)
+                self.telemetry.job_started(job.index, job.wname,
+                                           job.attempts)
 
     def _sleep_until_eligible(self):
         now = time.monotonic()
@@ -682,17 +484,7 @@ class _GridExecutor:
             if isinstance(exc, BrokenProcessPool):
                 return True
             del self.inflight[future]
-            if isinstance(job, _BatchJob):
-                if exc is None:
-                    for member, out in zip(job.members, future.result()):
-                        self._absorb_member(member, out, sleep=False)
-                else:
-                    # The whole group raised outside per-member
-                    # isolation: each member is charged its attempt and
-                    # retried (as a scalar single) on its own budget.
-                    for member in job.members:
-                        self._maybe_retry(member, "exception", exc)
-            elif exc is None:
+            if exc is None:
                 try:
                     self._record(job, future.result())
                 except Exception as rebuild_exc:
@@ -709,15 +501,11 @@ class _GridExecutor:
         victims = []
         for future, job in list(self.inflight.items()):
             if future.done() and future.exception() is None:
-                if isinstance(job, _BatchJob):
-                    for member, out in zip(job.members, future.result()):
-                        self._absorb_member(member, out, sleep=False)
-                else:
-                    try:
-                        self._record(job, future.result())
-                    except Exception as rebuild_exc:
-                        self._fail(job, "exception", str(rebuild_exc))
-                    self.suspects.discard(job.index)
+                try:
+                    self._record(job, future.result())
+                except Exception as rebuild_exc:
+                    self._fail(job, "exception", str(rebuild_exc))
+                self.suspects.discard(job.index)
             else:
                 victims.append(job)
         self.inflight.clear()
@@ -725,26 +513,15 @@ class _GridExecutor:
         self.pool = ProcessPoolExecutor(max_workers=self.width,
                                              initializer=_worker_init)
         if self.telemetry is not None and victims:
-            indices = []
-            for job in victims:
-                if isinstance(job, _BatchJob):
-                    indices.extend(m.index for m in job.members)
-                else:
-                    indices.append(job.index)
-            self.telemetry.worker_crash(indices)
-        if len(victims) == 1 and not isinstance(victims[0], _BatchJob):
+            self.telemetry.worker_crash([job.index for job in victims])
+        if len(victims) == 1:
             job = victims[0]
             self.suspects.discard(job.index)
             self._maybe_retry(job, "crash",
                               "worker process died (BrokenProcessPool)")
         else:
-            # Culprit unknown — several victims, or a batch whose dying
-            # member cannot be identified: requeue uncharged, isolate
-            # until resolved.
+            # Culprit unknown: requeue uncharged, isolate until resolved.
             for job in victims:
-                if isinstance(job, _BatchJob):
-                    self._disband(job)
-                    continue
                 job.attempts -= 1
                 job.deadline = None
                 self.suspects.add(job.index)
@@ -765,16 +542,7 @@ class _GridExecutor:
             if future.done():
                 del self.inflight[future]
                 exc = future.exception()
-                if isinstance(job, _BatchJob):
-                    if exc is None:
-                        for member, out in zip(job.members, future.result()):
-                            self._absorb_member(member, out, sleep=False)
-                    elif isinstance(exc, BrokenProcessPool):
-                        self._disband(job)  # member of record unknown
-                    else:
-                        for member in job.members:
-                            self._maybe_retry(member, "exception", exc)
-                elif exc is None:
+                if exc is None:
                     try:
                         self._record(job, future.result())
                     except Exception as rebuild_exc:
@@ -794,22 +562,10 @@ class _GridExecutor:
         self.inflight.clear()
         for job in innocents:
             # Uncharged: their workers were collateral of the teardown.
-            if isinstance(job, _BatchJob):
-                for member in job.members:
-                    member.attempts -= 1
-                job.deadline = None
-                self.queue.append(job)  # still a batch; nothing failed
-            else:
-                job.attempts -= 1
-                job.deadline = None
-                self.queue.append(job)
+            job.attempts -= 1
+            job.deadline = None
+            self.queue.append(job)
         for _, job in overdue:
-            if isinstance(job, _BatchJob):
-                # Some member hung, but which one is unknowable from
-                # outside the process — the timeout cannot be charged
-                # to anyone. Disband; the hanger will time out alone.
-                self._disband(job, reason="batch exceeded wall clock")
-                continue
             self.suspects.discard(job.index)
             if self.telemetry is not None:
                 self.telemetry.job_timeout(job.index, job.wname,
@@ -819,65 +575,6 @@ class _GridExecutor:
                 f"exceeded per-job timeout of {self.timeout:g}s")
 
     # -------------------------------------------------------- accounting
-
-    def _absorb_member(self, member, out, sleep):
-        """Absorb one member outcome of a finished batch group.
-
-        Mirrors :meth:`_maybe_retry`'s retry condition and backoff
-        schedule exactly, against the worker-computed ``retryable``
-        flag. Returns True when the member retries as a scalar single
-        (``sleep=True``, the inline path, blocks for the backoff and
-        lets the caller requeue; otherwise the member is requeued here
-        with its backoff as eligibility time).
-        """
-        if out["ok"]:
-            try:
-                self._record(member, out["payload"])
-            except Exception as rebuild_exc:
-                self._fail(member, "exception", str(rebuild_exc))
-            return False
-        if not out.get("retryable") or member.attempts > self.retries:
-            self._fail(member, out.get("kind", "exception"), out["message"])
-            return False
-        delay = (self.backoff * (2.0 ** (member.attempts - 1))
-                 if self.backoff else 0.0)
-        if self.telemetry is not None:
-            self.telemetry.degraded_to_scalar(
-                member.index, member.wname,
-                reason=f"batch member {out.get('kind', 'exception')}; "
-                       f"retrying scalar")
-            self.telemetry.job_retry(member.index, member.wname,
-                                     out.get("kind", "exception"),
-                                     member.attempts, delay)
-        if sleep:
-            if delay:
-                time.sleep(delay)
-        else:
-            member.eligible_at = time.monotonic() + delay
-            member.deadline = None
-            self.queue.append(member)
-        return True
-
-    def _disband(self, batch, reason="batch died as a unit"):
-        """Requeue a batch's members uncharged as scalar suspects.
-
-        Used when the batch died as a unit (worker crash, wall-clock
-        timeout) and the culprit member is unknown — exactly the
-        multi-victim ``BrokenProcessPool`` shape: innocents must not be
-        charged, and suspect isolation re-runs everyone one at a time
-        until the culprit fails alone (and only then is charged).
-        The attempt being uncharged, members emit ``degraded-to-scalar``
-        but no ``retry`` event.
-        """
-        for member in batch.members:
-            member.attempts -= 1
-            member.deadline = None
-            self.suspects.add(member.index)
-            self.queue.append(member)
-            if self.telemetry is not None:
-                self.telemetry.degraded_to_scalar(
-                    member.index, member.wname,
-                    reason=f"{reason}; suspect isolation")
 
     def _record(self, job, payload):
         workload, config = self.resolved[job.index]
@@ -889,9 +586,7 @@ class _GridExecutor:
         if self.telemetry is not None:
             self.telemetry.job_done(
                 job.index, job.wname, cycles=result.stats.cycles,
-                wall_seconds=result.wall_seconds,
-                backend=getattr(result, "backend", "scalar"),
-                attempts=job.attempts)
+                wall_seconds=result.wall_seconds, attempts=job.attempts)
 
     def _maybe_retry(self, job, kind, exc_or_message, sleep=False):
         """Requeue ``job`` with backoff, or convert it to a failure.
@@ -908,15 +603,6 @@ class _GridExecutor:
             return False
         delay = (self.backoff * (2.0 ** (job.attempts - 1))
                  if self.backoff else 0.0)
-        if getattr(job, "backend", "scalar") == "spec":
-            # Defense in depth, mirroring the batch disband philosophy:
-            # whatever went wrong, the retry runs on the reference
-            # interpreter so a codegen-side fault can never strand a job.
-            job.backend = "scalar"
-            if self.telemetry is not None:
-                self.telemetry.degraded_to_scalar(
-                    job.index, job.wname,
-                    reason=f"spec job {kind}; retrying scalar")
         if self.telemetry is not None:
             self.telemetry.job_retry(job.index, job.wname, kind,
                                      job.attempts, delay)
@@ -946,13 +632,10 @@ class _GridExecutor:
         return (f"sweep interrupted by {_signame(fired)} before the job "
                 f"finished")
 
-    def _interrupt_unit(self, unit):
-        """Record every unfinished member of ``unit`` as interrupted."""
-        members = unit.members if isinstance(unit, _BatchJob) else (unit,)
-        message = self._interrupt_message()
-        for job in members:
-            if self.results[job.index] is None:
-                self._fail(job, "interrupted", message)
+    def _interrupt_job(self, job):
+        """Record ``job`` as interrupted unless it already finished."""
+        if self.results[job.index] is None:
+            self._fail(job, "interrupted", self._interrupt_message())
 
     def _abort_interrupted(self):
         """Graceful pool-path shutdown after a SIGINT/SIGTERM.
@@ -969,20 +652,16 @@ class _GridExecutor:
                 continue
             del self.inflight[future]
             try:
-                if isinstance(job, _BatchJob):
-                    for member, out in zip(job.members, future.result()):
-                        self._absorb_member(member, out, sleep=False)
-                else:
-                    self._record(job, future.result())
+                self._record(job, future.result())
             except Exception as rebuild_exc:
                 self._fail(job, "exception", str(rebuild_exc))
         for future in self.inflight:
             future.cancel()
         for job in self.inflight.values():
-            self._interrupt_unit(job)
+            self._interrupt_job(job)
         self.inflight.clear()
         while self.queue:
-            self._interrupt_unit(self.queue.popleft())
+            self._interrupt_job(self.queue.popleft())
 
 
 def _ledger_append(ledger, resolved, results, cached_indices, timestamp,
@@ -1013,7 +692,6 @@ def _ledger_append(ledger, resolved, results, cached_indices, timestamp,
             program_hash=program_hash(program), checksum=result.checksum,
             verified=result.verified, wall_seconds=result.wall_seconds,
             cached=index in cached_indices,
-            backend=getattr(result, "backend", "scalar"),
             sweep_id=sweep_id,
             request_id=(request_ids.get(index)
                         if request_ids is not None else None))
@@ -1022,44 +700,9 @@ def _ledger_append(ledger, resolved, results, cached_indices, timestamp,
     ledger.append_all([record for _, record in keyed])
 
 
-#: ``backend="auto"``: smallest same-program group routed to the batch
-#: engine. Below this the amortization does not cover the batch
-#: envelope (group assembly, per-member payload mapping).
-AUTO_BATCH_MIN = 4
-
-#: ``backend="auto"``: smallest number of pending scalar jobs sharing a
-#: codegen shape (:func:`repro.core.codegen.codegen_key`) for the group
-#: to run on the specialized engine. One-off shapes stay on the
-#: interpreter — generation would not amortize within the sweep (though
-#: the on-disk source cache still amortizes it across sweeps).
-AUTO_SPEC_MIN = 2
-
-
-def _route_spec(singles):
-    """``backend="auto"``: move same-shape scalar singles to ``spec``.
-
-    Counts codegen keys across the un-batched jobs; every job whose
-    shape repeats at least :data:`AUTO_SPEC_MIN` times runs on the
-    specialized engine (the generated class is shared via the process
-    and disk codegen caches). Composes with batching: batch groups have
-    already been carved out, so spec picks up the same-config remainder.
-    """
-    from repro.core.codegen import codegen_key
-
-    keys = {}
-    for job in singles:
-        keys[job.index] = codegen_key(MachineConfig.from_spec(job.spec))
-    counts = {}
-    for key in keys.values():
-        counts[key] = counts.get(key, 0) + 1
-    for job in singles:
-        if counts[keys[job.index]] >= AUTO_SPEC_MIN:
-            job.backend = "spec"
-
-
 def run_grid(jobs, workers=None, verify=True, disk_cache=None,
-             aligned=False, instrument=False, *, backend="scalar",
-             timeout=None, retries=2, backoff=0.25, strict=False,
+             aligned=False, instrument=False, *, timeout=None, retries=2,
+             backoff=0.25, strict=False,
              fault_plan=None, ledger=None, ledger_timestamp=None,
              telemetry=None, progress=None, sweep_id=None,
              request_ids=None):
@@ -1089,23 +732,6 @@ def run_grid(jobs, workers=None, verify=True, disk_cache=None,
         Attach stall attribution and interval metrics in every worker;
         the serialized stats then carry ``stall_breakdown`` and
         ``interval_metrics`` (and use a distinct disk-cache key).
-    backend:
-        ``"scalar"`` (default) simulates one job per work unit, exactly
-        as before. ``"batch"`` groups uncached jobs that share a
-        decoded program — key ``(workload, nthreads, program hash,
-        instrument)`` — and advances each group inside one
-        :class:`~repro.core.batch.BatchEngine`. ``"spec"`` runs every
-        job on the config-specialized generated engine
-        (:mod:`repro.core.codegen`). ``"auto"`` composes them: batch
-        for same-program groups of :data:`AUTO_BATCH_MIN` or more,
-        spec for remaining jobs whose codegen shape repeats at least
-        :data:`AUTO_SPEC_MIN` times, scalar for the rest. Results are
-        bit-identical across backends (enforced by ``tests/test_batch
-        .py`` and ``tests/test_spec.py``); per-job failure, retry, and
-        timeout semantics are preserved per member — one member failing
-        never poisons its batch-mates, whose results are kept and whose
-        retry budgets are not charged for the culprit's faults, and a
-        spec job's retry degrades to the reference interpreter.
     timeout:
         Per-job wall-clock seconds. A job past its deadline is presumed
         hung: its worker pool is torn down, innocents are requeued
@@ -1181,9 +807,6 @@ def run_grid(jobs, workers=None, verify=True, disk_cache=None,
     from repro.harness.diskcache import DiskResultCache
     from repro.workloads import by_name
 
-    if backend not in ("scalar", "batch", "spec", "auto"):
-        raise ValueError(f"unknown backend {backend!r}; expected "
-                         f"'scalar', 'batch', 'spec', or 'auto'")
     if disk_cache is not None and not isinstance(disk_cache,
                                                  DiskResultCache):
         disk_cache = DiskResultCache(disk_cache, schema=Runner.RESULT_SCHEMA)
@@ -1208,8 +831,7 @@ def run_grid(jobs, workers=None, verify=True, disk_cache=None,
     if workers is None:
         workers = default_workers()
     if telemetry is not None:
-        telemetry.sweep_start(total=len(resolved), workers=workers,
-                              backend=backend)
+        telemetry.sweep_start(total=len(resolved), workers=workers)
 
     rebuilder = Runner(verify=verify)
     results = [None] * len(resolved)
@@ -1241,38 +863,18 @@ def run_grid(jobs, workers=None, verify=True, disk_cache=None,
                                        if disk_cache is not None else None))
         return results
 
-    if backend == "scalar":
-        units = pending
-    elif backend == "spec":
-        for job in pending:
-            job.backend = "spec"
-        units = pending
-    else:
-        units = _group_batches(pending, resolved, aligned, instrument,
-                               min_group=(AUTO_BATCH_MIN
-                                          if backend == "auto" else 1))
-        if backend == "auto":
-            # Compose the backends: same-program groups went to batch
-            # above; same-shape scalar leftovers run specialized.
-            _route_spec([unit for unit in units
-                         if not isinstance(unit, _BatchJob)])
-        if telemetry is not None:
-            for unit in units:
-                if isinstance(unit, _BatchJob):
-                    telemetry.batch_formed(
-                        [m.index for m in unit.members], unit.wname)
     interrupt = _InterruptGuard.install()
     executor = _GridExecutor(
-        width=min(max(1, workers), len(units)), timeout=timeout,
+        width=min(max(1, workers), len(pending)), timeout=timeout,
         retries=max(0, retries), backoff=backoff, verify=verify,
         aligned=aligned, instrument=instrument, fault_plan=fault_plan,
         disk_cache=disk_cache, rebuilder=rebuilder, resolved=resolved,
         results=results, telemetry=telemetry, interrupt=interrupt)
     try:
         if workers <= 1:
-            failures = executor.run_inline(units)
+            failures = executor.run_inline(pending)
         else:
-            failures = executor.run_pool(units)
+            failures = executor.run_pool(pending)
     finally:
         if interrupt is not None:
             interrupt.restore()

@@ -25,28 +25,24 @@ class RunResult:
     ``wall_seconds`` is the host time the simulation took when it was
     actually executed (``None`` only for legacy cached payloads); a
     cache replay keeps the original measurement, so ledger records of
-    cached results still report the throughput of the real run. For a
-    result produced by a batch group (``backend="batch"``) it is the
-    amortized per-member share of the batch wall clock — the members
-    ran interleaved, so no exclusive per-member time exists.
+    cached results still report the throughput of the real run.
     """
 
     __slots__ = ("workload", "nthreads", "stats", "checksum", "verified",
-                 "wall_seconds", "backend")
+                 "wall_seconds")
 
     #: Discriminator mirrored by ``JobFailure.ok = False``: grid callers
     #: can filter mixed result lists with ``r.ok`` instead of isinstance.
     ok = True
 
     def __init__(self, workload, nthreads, stats, checksum, verified,
-                 wall_seconds=None, backend="scalar"):
+                 wall_seconds=None):
         self.workload = workload
         self.nthreads = nthreads
         self.stats = stats
         self.checksum = checksum
         self.verified = verified
         self.wall_seconds = wall_seconds
-        self.backend = backend
 
     @property
     def cycles(self):
@@ -98,8 +94,8 @@ def program_hash(program):
 #: ``(workload, nthreads, aligned) -> (Program, program_hash)``.
 #: Keyed by workload object identity — the registry
 #: (:func:`repro.workloads.by_name`) hands out module singletons, so
-#: every grid job and batch group resolving the same name in one
-#: process shares one entry (and ad-hoc test workloads can never
+#: every grid job resolving the same name in one process shares one
+#: entry (and ad-hoc test workloads can never
 #: collide by name alone).
 _DECODE_CACHE = {}
 
@@ -111,9 +107,8 @@ def decoded_program(workload, nthreads, aligned=False):
     aligned)``; this cache additionally pins the program's content hash
     (otherwise recomputed for every disk-cache key and ledger record of
     a sweep) and pre-builds every ALU/FP execution closure and
-    disassembly line, so all later consumers — each scalar job of a
-    sweep, each member of a :class:`~repro.core.batch.BatchEngine`
-    group — share the same warm, read-only instruction objects.
+    disassembly line, so every job of a sweep shares the same warm,
+    read-only instruction objects.
     """
     key = (workload, nthreads, bool(aligned))
     hit = _DECODE_CACHE.get(key)
@@ -154,12 +149,6 @@ class Runner:
         ``stats.interval_metrics``. Instrumented runs use a distinct
         cache key (same cycle counts, richer payload), so they never
         collide with — or invalidate — plain entries.
-    backend:
-        ``"scalar"`` (default) runs the interpreter; ``"spec"`` runs a
-        config-specialized generated engine (:mod:`repro.core.codegen`)
-        — bit-identical statistics, so both backends share the same
-        result-cache keys (a cache replay keeps the backend that
-        originally executed, mirroring the batch path).
     """
 
     #: Fields every cached result payload must carry; passed to
@@ -169,7 +158,7 @@ class Runner:
     RESULT_SCHEMA = ("nthreads", "stats", "checksum", "verified")
 
     def __init__(self, verify=True, quiet=True, disk_cache=None,
-                 instrument=False, backend="scalar"):
+                 instrument=False):
         self.verify = verify
         self.quiet = quiet
         if disk_cache is not None and not isinstance(disk_cache,
@@ -178,10 +167,6 @@ class Runner:
                                          schema=Runner.RESULT_SCHEMA)
         self.disk_cache = disk_cache
         self.instrument = instrument
-        if backend not in ("scalar", "spec"):
-            raise ValueError(f"unknown Runner backend {backend!r} "
-                             f"(expected 'scalar' or 'spec')")
-        self.backend = backend
         self._cache = {}
 
     def run(self, workload, config=None, aligned=False, **overrides):
@@ -210,11 +195,7 @@ class Runner:
                 result = self._from_payload(workload, config, payload)
                 self._cache[key] = result
                 return result
-        if self.backend == "spec":
-            from repro.core.codegen import spec_engine_class
-            sim = spec_engine_class(config)(program, config)
-        else:
-            sim = PipelineSim(program, config)
+        sim = PipelineSim(program, config)
         if self.instrument:
             attr = sim.attach_attribution()
             sim.attach_metrics()
@@ -230,7 +211,7 @@ class Runner:
                 f"{workload.name} with {nthreads} threads computed "
                 f"{checksum!r}, expected {workload.expected(nthreads)!r}")
         result = RunResult(workload, nthreads, stats, checksum, verified,
-                           wall_seconds, backend=self.backend)
+                           wall_seconds)
         self._cache[key] = result
         if disk is not None:
             disk.put(disk_key, self._to_payload(result))
@@ -262,7 +243,6 @@ class Runner:
             "checksum": result.checksum,
             "verified": result.verified,
             "wall_seconds": result.wall_seconds,
-            "backend": result.backend,
         }
 
     def _from_payload(self, workload, config, payload):
@@ -272,9 +252,6 @@ class Runner:
             raise AssertionError(
                 f"{workload.name}: cached run recorded a checksum "
                 f"mismatch ({payload['checksum']!r})")
-        # Legacy payloads (and the seed's) predate the backend field;
-        # everything they recorded came from the scalar engine.
         return RunResult(workload, payload["nthreads"], stats,
                          payload["checksum"], verified,
-                         payload.get("wall_seconds"),
-                         backend=payload.get("backend", "scalar"))
+                         payload.get("wall_seconds"))

@@ -90,8 +90,6 @@ class _DispatchRelay:
                 data.setdefault("request_id", entry.request.request_id)
         elif event.kind == "worker-crash":
             data["victims"] = [entry.index]
-        elif event.kind == "batched":
-            data["members"] = [entry.index]
         record = self.service._emit(event.kind, job=job,
                                     workload=event.workload, **data)
         entry.publish(record)
@@ -187,14 +185,12 @@ class JobService:
     """Thread-safe job service over :func:`run_grid`.
 
     Parameters mirror ``run_grid`` where they share meaning
-    (``workers``, ``timeout``, ``retries``, ``backoff``, ``backend``,
-    ``verify``). ``workers`` is how many simulations run at once: the
-    service starts that many dispatcher threads over one queue, and
-    each dispatches one job at a time as a one-job ``run_grid``, which
-    runs it in its own worker process when ``workers >= 2``.
-    ``backend`` accepts every ``run_grid`` value; with one job per
-    grid, ``"auto"`` (the default) picks the scalar interpreter. The
-    rest configure the service envelope:
+    (``workers``, ``timeout``, ``retries``, ``backoff``, ``verify``).
+    ``workers`` is how many simulations run at once: the service starts
+    that many dispatcher threads over one queue, and each dispatches one
+    job at a time as a one-job ``run_grid``, which runs it in its own
+    worker process when ``workers >= 2``. The rest configure the
+    service envelope:
     ``queue_depth``/``rate``/``burst`` the admission controller,
     ``disk_cache``/``ledger`` the durable layers, ``sinks`` the
     server-lifetime telemetry sinks, ``allow_chaos`` the over-the-wire
@@ -210,7 +206,7 @@ class JobService:
 
     def __init__(self, *, workers=None, queue_depth=64, rate=None,
                  burst=None, timeout=None, retries=2, backoff=0.25,
-                 backend="auto", verify=True, disk_cache=None, ledger=None,
+                 verify=True, disk_cache=None, ledger=None,
                  sinks=(), allow_chaos=False, heartbeat=2.0,
                  clock=time.monotonic, metrics=None):
         from repro.harness.diskcache import DiskResultCache
@@ -225,7 +221,6 @@ class JobService:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.backend = backend
         self.verify = verify
         self.disk_cache = disk_cache
         self.ledger = ledger
@@ -268,8 +263,7 @@ class JobService:
         if self.started:
             return self
         self.started = True
-        self._emit("sweep-start", total=0, workers=self.workers,
-                   backend=self.backend)
+        self._emit("sweep-start", total=0, workers=self.workers)
         self._threads = [
             threading.Thread(target=self._dispatch_loop,
                              name=f"repro-serve-dispatch-{n}", daemon=True)
@@ -385,7 +379,6 @@ class JobService:
         return {
             "sweep_id": self.hub.sweep_id,
             "workers": self.workers,
-            "backend": self.backend,
             "started": self.started,
             "drained": self.drained,
             "dispatcher_alive": bool(self._threads) and all(
@@ -511,7 +504,7 @@ class JobService:
                 [(request.workload, request.config)], workers=self.workers,
                 verify=self.verify, disk_cache=self.disk_cache,
                 aligned=request.aligned, instrument=request.instrument,
-                backend=self.backend, timeout=self.timeout,
+                timeout=self.timeout,
                 retries=self.retries, backoff=self.backoff, strict=False,
                 fault_plan=self._chaos_plan(entry), ledger=self.ledger,
                 telemetry=inner, sweep_id=request.sweep_id,

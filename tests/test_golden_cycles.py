@@ -48,6 +48,13 @@ CASES = {
         **FU_LATENCY, FuClass.FPDIV: 40, FuClass.IDIV: 40}),
     "LL2-2t-missheavy": dict(nthreads=2, cache=CacheConfig(
         size_bytes=128, line_words=4, assoc=1, miss_penalty=96)),
+    # Masked round-robin with long misses: a writeback that finishes the
+    # bottom block lifts the thread's mask only in the next cycle's
+    # commit stage, so the fast-forward must not skip that cycle.
+    "LL2-1t-maskedrr-missheavy": dict(
+        nthreads=1, fetch_policy="masked_rr", bypassing=False,
+        cache=CacheConfig(size_bytes=128, line_words=4, assoc=1,
+                          miss_penalty=96)),
 }
 
 

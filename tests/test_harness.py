@@ -140,6 +140,20 @@ def test_speedup_summary_shape(runner):
     assert 2 in entry["per_thread"]
 
 
+def test_decoded_program_is_cached_and_prebuilt():
+    from repro.harness.runner import decoded_program, program_hash
+    from repro.workloads import by_name
+
+    workload = by_name("LL2")
+    program_a, hash_a = decoded_program(workload, 2)
+    program_b, hash_b = decoded_program(workload, 2)
+    assert program_a is program_b
+    assert hash_a == hash_b == program_hash(program_a)
+    # Execution closures were prebuilt for the ALU/FP instructions.
+    assert any(getattr(instr, "_exec", None) is not None
+               for instr in program_a.instructions)
+
+
 def test_format_table_alignment():
     text = format_table("Title", ["a", "bench"], [[1, "x"], [22, "yy"]])
     assert "Title" in text

@@ -31,7 +31,8 @@ def test_make_record_schema_roundtrip(tmp_path):
     record = _record(wall_seconds=0.5)
     run_id = ledger.append(record)
     (loaded,) = ledger.records()
-    assert loaded == json.loads(json.dumps(record))  # JSON-clean
+    # JSON-clean; the read side supplies the legacy "backend" default.
+    assert loaded == {**json.loads(json.dumps(record)), "backend": "scalar"}
     assert loaded["run_id"] == run_id
     assert loaded["schema"] == 1
     assert loaded["config_fingerprint"] == config_fingerprint(
@@ -190,3 +191,38 @@ def test_run_grid_marks_cached_replays(tmp_path):
     assert not first["cached"]
     assert second["cached"]
     assert first["stats"]["cycles"] == second["stats"]["cycles"]
+
+
+def test_ledger_legacy_record_defaults_to_scalar_backend(tmp_path, capsys):
+    """Records from engines that no longer exist still load and diff.
+
+    Older ledgers name the engine that ran each record (``"batch"`` or
+    ``"spec"``); records written today carry no ``backend`` field and
+    read back as ``"scalar"``.
+    """
+    from repro.cli import main
+    from repro.core import PipelineSim
+
+    workload = by_name("LL5")
+    config = MachineConfig(nthreads=1)
+    stats = PipelineSim(workload.program(1), config).run()
+    new = make_record(source="test", workload=workload.name, config=config,
+                      stats=stats, timestamp=T0)
+    assert "backend" not in new
+    legacy = []
+    for backend in ("batch", "spec"):
+        record = {key: value for key, value in new.items()
+                  if key != "run_id"}
+        record["backend"] = backend
+        record["run_id"] = fingerprint(record)
+        legacy.append(record)
+    path = tmp_path / "ledger.jsonl"
+    path.write_text("".join(json.dumps(record) + "\n"
+                            for record in legacy + [new]))
+    loaded = RunLedger(path).records()
+    assert [r["backend"] for r in loaded] == ["batch", "spec", "scalar"]
+    assert [r["stats"]["cycles"] for r in loaded] == [stats.cycles] * 3
+    for old in legacy:
+        assert main(["diff", old["run_id"], new["run_id"],
+                     "--ledger", str(path)]) == 0
+    assert "LL5" in capsys.readouterr().out

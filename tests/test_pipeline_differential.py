@@ -14,7 +14,10 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import CommitPolicy, FetchPolicy, MachineConfig, PipelineSim
+from repro.core.pipeline import SimulationHang
 from repro.funcsim import FunctionalSim
+from repro.mem.cache import CacheConfig
+from repro.workloads import by_name
 
 NREGS = 16
 _BODY_OPS = ["add", "sub", "and", "or", "xor", "slt", "sltu", "mul",
@@ -171,6 +174,52 @@ def test_differential_fast_forward_stall_heavy(seed):
                            cache=CacheConfig(size_bytes=256, assoc=1,
                                              miss_penalty=64))
     assert_fast_forward_invisible(program, 2, config)
+
+
+def _ff_outcome(program, config):
+    """Full stats on success; ``"hang"`` when the watchdog fires. A
+    wedged shape must wedge in both modes, but a skip may overshoot the
+    exact cycle the per-cycle loop would have reported the hang at."""
+    try:
+        return PipelineSim(program, config).run().to_dict()
+    except SimulationHang:
+        return "hang"
+
+
+def test_randomized_config_shapes_fast_forward_modes():
+    """Random machine shapes on a real workload — thread counts, all
+    four fetch policies, SU depths, bypassing, cache pressure, icache —
+    give identical statistics with fast-forward on and off. Some shapes
+    genuinely wedge (a tiny icache thrashed by four threads can starve
+    every fetch), so the watchdog horizon is tightened to keep them
+    cheap."""
+    rng = random.Random(1996)
+    caches = [None,
+              CacheConfig(size_bytes=256, assoc=1, miss_penalty=64),
+              CacheConfig(size_bytes=128, line_words=4, assoc=1,
+                          miss_penalty=96)]
+    for _ in range(8):
+        kwargs = dict(
+            nthreads=rng.choice([1, 2, 4]),
+            su_entries=rng.choice([32, 64, 128]),
+            fetch_policy=rng.choice(["true_rr", "icount", "masked_rr",
+                                     "cond_switch"]),
+            bypassing=rng.choice([True, False]),
+            fast_forward=rng.choice([True, False]),
+            hang_cycles=20_000,
+        )
+        cache = rng.choice(caches)
+        if cache is not None:
+            kwargs["cache"] = cache
+        if rng.random() < 0.3:
+            kwargs["icache"] = CacheConfig(size_bytes=512, assoc=2,
+                                           miss_penalty=8)
+        rng.random()  # one more draw per shape keeps the seeded list fixed
+        config = MachineConfig(**kwargs)
+        program = by_name("LL2").program(config.nthreads)
+        fast = _ff_outcome(program, config.replace(fast_forward=True))
+        slow = _ff_outcome(program, config.replace(fast_forward=False))
+        assert fast == slow, kwargs
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -5,7 +5,7 @@ Pins the accounting invariant — every job gets exactly one ``queued``
 and exactly one terminal event, reconciling with the returned results,
 the :class:`JobFailure` records, and the ledger — under the same fault
 injectors ``tests/test_faults.py`` uses, plus the exact lifecycle
-sequences for the retry/timeout/crash/batch recovery paths, the
+sequences for the retry/timeout/crash recovery paths, the
 Perfetto sweep-timeline export, sweep-scoped ledger queries, and the
 requirement that attaching telemetry never changes a cycle count.
 """
@@ -111,13 +111,13 @@ def test_new_sweep_ids_are_short_and_unique():
 def test_metrics_fold_and_derived_views():
     clock = FakeClock()
     hub = _hub(sweep_id="s", clock=clock)
-    hub.sweep_start(total=4, workers=2, backend="scalar")
+    hub.sweep_start(total=4, workers=2)
     for index in range(4):
         hub.job_queued(index, "LL5")
     hub.cache_hit(0, "LL5")
     clock.advance(1.0)
     hub.job_started(1, "LL5", attempt=1)
-    hub.job_done(1, "LL5", cycles=100, wall_seconds=2.0, backend="scalar")
+    hub.job_done(1, "LL5", cycles=100, wall_seconds=2.0)
     hub.job_started(2, "LL5", attempt=1)
     m = hub.metrics
     assert m.total == 4 and m.workers == 2
@@ -129,7 +129,6 @@ def test_metrics_fold_and_derived_views():
     # ETA from mean wall of done jobs over the worker width.
     assert m.eta_seconds() == pytest.approx(2 * 2.0 / 2)
     snapshot = m.to_dict()
-    assert snapshot["backends"] == {"scalar": 1}
     assert snapshot["running"] == 1
     assert snapshot["eta_seconds"] == pytest.approx(2.0)
 
@@ -184,7 +183,7 @@ def test_inline_grid_emits_exact_happy_path_sequence():
         "sweep-start", "queued", "queued", "started", "done",
         "started", "done", "sweep-end"]
     start = cap.events[0]
-    assert start["total"] == 2 and start["backend"] == "scalar"
+    assert start["total"] == 2
     assert start["schema"] == 1 and start["workers"] == 1
     done = cap.of("done")
     assert [r["job"] for r in done] == [0, 1]
@@ -285,33 +284,6 @@ def test_cache_hits_are_terminal_and_sweep_end_carries_counters(tmp_path):
     assert end["cache"]["entries"] == 2
     assert end["metrics"]["cache_hits"] == 2
     assert end["metrics"]["cache_hit_rate"] == 1.0
-    _reconcile(cap, results)
-
-
-def test_batch_degrade_emits_scalar_fallback_sequence():
-    config = MachineConfig(nthreads=1)
-    jobs = [(by_name("LL5"), config.replace(su_entries=depth))
-            for depth in (4, 8, 16, 32)]
-    plan = FaultPlan().fail(indices=[1], attempts=1)
-    cap = Cap()
-    results = run_grid(jobs, workers=1, backend="batch", fault_plan=plan,
-                       backoff=0.0, telemetry=_hub(sinks=[cap]))
-    batched = cap.of("batched")
-    assert len(batched) == 1
-    assert batched[0]["members"] == [0, 1, 2, 3]
-    assert batched[0]["size"] == 4
-    assert all(r["batched"] for r in cap.of("started")[:4])
-    degraded = cap.of("degraded-to-scalar")
-    assert [r["job"] for r in degraded] == [1]
-    retry = cap.of("retry")[0]
-    assert retry["job"] == 1
-    # The healed member reruns scalar: a second, unbatched start.
-    rerun = [r for r in cap.of("started") if r["job"] == 1][-1]
-    assert rerun["batched"] is False
-    assert all(result.ok for result in results)
-    end_metrics = cap.events[-1]["metrics"]
-    assert end_metrics["batches"] == 1
-    assert end_metrics["degraded_to_scalar"] == 1
     _reconcile(cap, results)
 
 

@@ -23,23 +23,14 @@ Usage::
     PYTHONPATH=src python tools/perf_profile.py            # report
     PYTHONPATH=src python tools/perf_profile.py --json     # raw JSON
     PYTHONPATH=src python tools/perf_profile.py --update   # rewrite
-        the current-engine numbers in BENCH_engine.json
+        the current-engine numbers in BENCH_engine.json (matrix plus
+        the eight-configuration run_grid sweep aggregate)
     PYTHONPATH=src python tools/perf_profile.py --smoke    # CI gate:
         fail on >30% cycles/sec regression vs the committed numbers
     PYTHONPATH=src python tools/perf_profile.py --instrumented
         # measure with stall attribution + metrics + null sink attached
     PYTHONPATH=src python tools/perf_profile.py --update-instrumented
         # record off-vs-on throughput in BENCH_engine.json
-    PYTHONPATH=src python tools/perf_profile.py --backend batch
-        # matrix through one-member BatchEngine groups (cycles must
-        # stay bit-identical; --smoke gates that in CI)
-    PYTHONPATH=src python tools/perf_profile.py --backend spec
-        # matrix through the config-specialized generated engine
-        # (cycles must stay bit-identical; --smoke gates that in CI)
-    PYTHONPATH=src python tools/perf_profile.py --backend both
-        # all three: the interleaved scalar-vs-batch 8-config sweep
-        # plus the interleaved interpreter-vs-spec matrix; --update
-        # stamps the 'batch' and 'spec' sections (spec_over_scalar)
 
 Timings on shared CI hosts are noisy; the smoke gate therefore measures
 best-of-``--reps`` after a warm-up run and allows a generous 30% band.
@@ -54,9 +45,8 @@ import pathlib
 import platform
 import sys
 
-from repro.obs.sentry import (BATCH_SWEEP_LABEL, MATRIX, SMOKE_TOLERANCE,
-                              check_baseline, measure, measure_backends,
-                              measure_overhead, measure_spec)
+from repro.obs.sentry import (SMOKE_TOLERANCE, SWEEP_LABEL, check_baseline,
+                              measure, measure_overhead, measure_sweep)
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -123,24 +113,16 @@ def _stamp_provenance(bench):
     bench["python"] = platform.python_version()
 
 
-def update(measured, bench):
+def update(measured, sweep, bench):
     from repro.core.pipeline import ENGINE_VERSION
     bench = bench or {}
     bench["engine_version"] = ENGINE_VERSION
     _stamp_provenance(bench)
-    # Rewriting the matrix maps wholesale drops stale labels on purpose
-    # — but the batch-sweep aggregate lives in the same maps and is
-    # stamped by its own pass (--backend both --update), so carry it.
-    old_cycles = bench.get("cycles") or {}
-    old_rates = bench.get("cycles_per_sec") or {}
-    bench["cycles"] = {k: v["cycles"] for k, v in measured.items()}
+    # Rewriting the maps wholesale drops stale labels on purpose.
+    everything = {**measured, SWEEP_LABEL: sweep}
+    bench["cycles"] = {k: v["cycles"] for k, v in everything.items()}
     bench["cycles_per_sec"] = {k: v["cycles_per_sec"]
-                               for k, v in measured.items()}
-    if BATCH_SWEEP_LABEL in old_cycles:
-        bench["cycles"][BATCH_SWEEP_LABEL] = old_cycles[BATCH_SWEEP_LABEL]
-    if BATCH_SWEEP_LABEL in old_rates:
-        bench["cycles_per_sec"][BATCH_SWEEP_LABEL] = \
-            old_rates[BATCH_SWEEP_LABEL]
+                               for k, v in everything.items()}
     seed = bench.get("seed_cycles_per_sec")
     if seed:
         ratios = [v["cycles_per_sec"] / seed[k]
@@ -181,84 +163,7 @@ def update_instrumented(measured_off, measured_on, bench):
     return 0
 
 
-def report_backends(scalar_entry, batch_entry, bench):
-    """Print the scalar-vs-batch sweep comparison."""
-    ratio = batch_entry["cycles_per_sec"] / scalar_entry["cycles_per_sec"]
-    print(f"{BATCH_SWEEP_LABEL:24s} scalar {scalar_entry['cycles_per_sec']:>9,d} "
-          f"cyc/s  batch {batch_entry['cycles_per_sec']:>9,d} cyc/s  "
-          f"{ratio:5.2f}x batch/scalar")
-    committed = (bench or {}).get("batch", {}).get("batch_over_scalar")
-    if committed:
-        print(f"{'committed batch/scalar':24s} {committed:9.2f}x")
-
-
-def update_backends(scalar_entry, batch_entry, bench):
-    """Stamp the ``batch`` section and the batch-sweep aggregate entry.
-
-    Like ``--update-instrumented``, this leaves the committed scalar
-    matrix numbers untouched; it rewrites only the sweep's pinned
-    aggregate (``cycles`` / ``cycles_per_sec`` under
-    :data:`BATCH_SWEEP_LABEL`) and the ``batch`` info section.
-    """
-    bench = bench or {}
-    _stamp_provenance(bench)
-    bench.setdefault("cycles", {})[BATCH_SWEEP_LABEL] = batch_entry["cycles"]
-    bench.setdefault("cycles_per_sec", {})[BATCH_SWEEP_LABEL] = \
-        batch_entry["cycles_per_sec"]
-    ratio = batch_entry["cycles_per_sec"] / scalar_entry["cycles_per_sec"]
-    bench["batch"] = {
-        "sweep": BATCH_SWEEP_LABEL,
-        "scalar_cycles_per_sec": scalar_entry["cycles_per_sec"],
-        "batch_cycles_per_sec": batch_entry["cycles_per_sec"],
-        "batch_over_scalar": round(ratio, 3),
-    }
-    BENCH_PATH.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {BENCH_PATH} (batch section; batch/scalar "
-          f"{bench['batch']['batch_over_scalar']})")
-    return 0
-
-
-def report_spec(measured_scalar, measured_spec, bench):
-    """Print the per-entry interpreter-vs-spec comparison."""
-    ratios = []
-    for label, scalar_entry in measured_scalar.items():
-        spec_entry = measured_spec[label]
-        ratio = spec_entry["cycles_per_sec"] / scalar_entry["cycles_per_sec"]
-        ratios.append(ratio)
-        print(f"{label:24s} scalar {scalar_entry['cycles_per_sec']:>9,d} "
-              f"cyc/s  spec {spec_entry['cycles_per_sec']:>9,d} cyc/s  "
-              f"{ratio:5.2f}x")
-    print(f"{'geomean spec/scalar':24s} {geomean(ratios):9.2f}x")
-    committed = (bench or {}).get("spec", {}).get("spec_over_scalar")
-    if committed:
-        print(f"{'committed spec/scalar':24s} {committed:9.2f}x")
-
-
-def update_spec(measured_scalar, measured_spec, bench):
-    """Stamp the ``spec`` section (interpreter-vs-spec matrix numbers).
-
-    Like the ``batch`` section, this leaves the committed scalar matrix
-    baseline untouched — ``measure_spec`` already asserted bit-identical
-    stats per rep, so only throughput is news here.
-    """
-    bench = bench or {}
-    _stamp_provenance(bench)
-    ratios = [measured_spec[k]["cycles_per_sec"] / v["cycles_per_sec"]
-              for k, v in measured_scalar.items()]
-    bench["spec"] = {
-        "scalar_cycles_per_sec": {k: v["cycles_per_sec"]
-                                  for k, v in measured_scalar.items()},
-        "spec_cycles_per_sec": {k: v["cycles_per_sec"]
-                                for k, v in measured_spec.items()},
-        "spec_over_scalar": round(geomean(ratios), 3),
-    }
-    BENCH_PATH.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {BENCH_PATH} (spec section; spec/scalar "
-          f"{bench['spec']['spec_over_scalar']})")
-    return 0
-
-
-def append_ledger(measured, ledger_path=None, backend="scalar"):
+def append_ledger(measured, ledger_path=None):
     """Append this profiling run to the durable run ledger.
 
     Every invocation stamps its records with one fresh sweep id, so a
@@ -273,8 +178,7 @@ def append_ledger(measured, ledger_path=None, backend="scalar"):
     try:
         ledger.append_all(ledger_records(
             measured, source="perf_profile",
-            timestamp=ledger_mod.utc_now_iso(), backend=backend,
-            sweep_id=new_sweep_id()))
+            timestamp=ledger_mod.utc_now_iso(), sweep_id=new_sweep_id()))
     except OSError as error:
         print(f"warning: could not append to run ledger: {error}",
               file=sys.stderr)
@@ -298,14 +202,6 @@ def main(argv=None):
                         help="measure both off and on, record the "
                              "'instrumentation' section in "
                              "BENCH_engine.json")
-    parser.add_argument("--backend", default="scalar",
-                        choices=["scalar", "batch", "spec", "both"],
-                        help="'batch' runs the matrix through one-member "
-                             "BatchEngine groups, 'spec' through the "
-                             "config-specialized generated engine; "
-                             "'both' runs all three comparisons — the "
-                             "interleaved scalar-vs-batch sweep plus the "
-                             "interleaved interpreter-vs-spec matrix")
     parser.add_argument("--ledger", default=None, metavar="PATH",
                         help="run-ledger file (default: REPRO_LEDGER or "
                              "~/.cache/repro-sdsp/ledger.jsonl)")
@@ -319,48 +215,9 @@ def main(argv=None):
         if not args.no_ledger:
             append_ledger(measured_off, args.ledger)
         return update_instrumented(measured_off, measured_on, load_bench())
-    if args.backend == "both":
-        if args.instrumented:
-            print("error: --backend both does not combine with "
-                  "--instrumented", file=sys.stderr)
-            return 2
-        # Interleaved scalar/batch reps of the same sweep, then the
-        # interleaved interpreter/spec matrix — each asserts
-        # bit-identical stats per rep before any number is reported.
-        scalar_entry, batch_entry = measure_backends(args.reps)
-        spec_off, spec_on = measure_spec(args.reps)
-        if args.json:
-            slim = {label: {k: v for k, v in entry.items() if k != "stats"}
-                    for label, entry in spec_on.items()}
-            print(json.dumps({"scalar": scalar_entry, "batch": batch_entry,
-                              "spec_matrix": slim},
-                             indent=1, sort_keys=True))
-            return 0
-        bench = load_bench()
-        if args.smoke:
-            # The spec side's cycles pin bit-exactly against the same
-            # committed matrix labels as the scalar engine.
-            return smoke({BATCH_SWEEP_LABEL: batch_entry, **spec_on}, bench)
-        if args.update:
-            status = update_backends(scalar_entry, batch_entry, bench)
-            if status:
-                return status
-            return update_spec(spec_off, spec_on, load_bench())
-        report_backends(scalar_entry, batch_entry, bench)
-        report_spec(spec_off, spec_on, bench)
-        return 0
-    if args.update and args.backend in ("batch", "spec"):
-        # The committed matrix baseline is the scalar engine's; batch
-        # and spec numbers live in their own sections (--backend both
-        # --update).
-        print(f"error: --update records the scalar baseline; use "
-              f"--backend both --update for the {args.backend} section",
-              file=sys.stderr)
-        return 2
-    measured = measure(args.reps, instrument=args.instrumented,
-                       backend=args.backend)
+    measured = measure(args.reps, instrument=args.instrumented)
     if not args.no_ledger:
-        append_ledger(measured, args.ledger, backend=args.backend)
+        append_ledger(measured, args.ledger)
     if args.json:
         slim = {label: {k: v for k, v in entry.items() if k != "stats"}
                 for label, entry in measured.items()}
@@ -370,7 +227,7 @@ def main(argv=None):
     if args.smoke:
         return smoke(measured, bench)
     if args.update:
-        update(measured, bench)
+        update(measured, measure_sweep(args.reps), bench)
         return 0
     report(measured, bench)
     return 0
