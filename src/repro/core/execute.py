@@ -47,23 +47,15 @@ class FuPool:
         """Result latency of the unit class."""
         return self._latency[fu_index]
 
-    def acquire(self, fu_index, now, occupancy=None):
-        """Reserve a unit starting at cycle ``now``.
+    def acquire(self, fu_index, now):
+        """Reserve an unpipelined unit (a divider) starting at ``now``.
 
-        Returns the instance index, or ``None`` if all are busy.
+        Returns the instance index, or ``None`` if all are busy. The
+        pipelined classes are acquired by the pipeline's issue stage,
+        which bumps their per-cycle counters (``_used_cycle``/``_used``)
+        in its own loop.
         """
-        if occupancy is None:
-            occupancy = self._occupancy[fu_index]
-        if occupancy == 1:
-            if self._used_cycle[fu_index] != now:
-                self._used_cycle[fu_index] = now
-                self._used[fu_index] = 0
-            index = self._used[fu_index]
-            if index >= self._counts[fu_index]:
-                return None
-            self._used[fu_index] = index + 1
-            self._busy[fu_index][index] += 1
-            return index
+        occupancy = self._occupancy[fu_index]
         units = self._free_at[fu_index]
         for index, free_at in enumerate(units):
             if free_at <= now:
@@ -73,10 +65,15 @@ class FuPool:
         return None
 
     def available(self, fu_index, now):
-        """True if some unit of the class is free this cycle."""
+        """True if a unit of the class is free at the start of ``now``.
+
+        Asked before the cycle's issue stage runs (the fast-forward
+        horizon scan), when every pipelined class is free: they are
+        per-cycle resources. A divider is free once an instance's
+        previous operation has released it.
+        """
         if self._occupancy[fu_index] == 1:
-            return (self._used_cycle[fu_index] != now
-                    or self._used[fu_index] < self._counts[fu_index])
+            return True
         for free_at in self._free_at[fu_index]:
             if free_at <= now:
                 return True

@@ -28,7 +28,13 @@ Fast-path engine
 ----------------
 The simulator is performance-critical (every figure of the evaluation
 re-simulates a workload grid), so the hot path avoids work that cannot
-change the outcome:
+change the outcome. Every engine rule is written once, in the code the
+engine runs. Only per-instruction legs — the execution closures, the
+writeback wake-up, the pipelined functional-unit acquire and the issue
+bookkeeping — sit inside their stage loops rather than behind a call,
+because a call per instruction is measurable; per-cycle and per-block
+rules are plain method calls (``docs/PERFORMANCE.md``, "One copy of
+every rule").
 
 * Stage calls are guarded: writeback only runs when the earliest
   pending result is due, issue only when the SU has an issuable entry,
@@ -42,17 +48,18 @@ change the outcome:
   :mod:`repro.core.scheduler`).
 * ``run()`` fast-forwards across provably inert cycles — every stall
   class, not just full idle. When nothing can write back, commit,
-  decode, fetch, or drain this cycle, and a side-effect-free mirror of
-  the issue scan proves no ready entry can issue either, the machine
+  decode, fetch, or drain this cycle, and a side-effect-free replay of
+  the issue scan (the same :meth:`PipelineSim._load_source` rule the
+  issue stage uses) proves no ready entry can issue either, the machine
   state is frozen and the clock jumps straight to the earliest
   next-event horizon: the writeback calendar's next completion (which
   subsumes dcache-miss service), the store buffer's drain slot, the
   earliest divider release, or a thread's instruction-cache refill.
   Each component exposes its own horizon (``FuPool.next_free``,
-  ``StoreBuffer.next_drain_cycle``, ``FetchUnit.fetch_horizon``,
-  ``DataCache.refill_horizon``); the skipped cycles are charged to the
-  same stall counters — and, via the attribution layer, the same stall
-  *class* — the per-cycle loop would have used.
+  ``StoreBuffer.next_drain_cycle``, ``FetchUnit.fetch_horizon``); the
+  skipped cycles are charged to the same stall counters — and, via
+  :func:`repro.obs.attribution.span_class`, the same stall *class* —
+  the per-cycle loop would have used.
   ``MachineConfig(fast_forward=False)`` disables the jump; both modes
   produce bit-identical statistics (enforced by
   ``tests/test_golden_cycles.py`` and the differential suite).
@@ -71,8 +78,7 @@ from repro.core.branch import BranchPredictor
 from repro.core.config import CommitPolicy, FetchPolicy, MachineConfig
 from repro.core.execute import FuPool
 from repro.core.fetch import FetchUnit, ThreadContext
-from repro.core.scheduler import (DONE, ISSUED, SchedulingUnit, SUBlock,
-                                  SUEntry, WAITING)
+from repro.core.scheduler import DONE, ISSUED, SchedulingUnit, WAITING
 from repro.core.stats import SimStats
 from repro.isa.opcodes import FU_CLASSES, FuClass, Op
 from repro.isa.registers import REG_ZERO, RegisterFile
@@ -80,9 +86,10 @@ from repro.isa.semantics import branch_taken, build_exec
 from repro.mem.cache import DataCache
 from repro.mem.memory import MainMemory
 from repro.mem.storebuffer import StoreBuffer
-# Plain-data event types (no further imports; see repro.obs.__init__ for
-# the layering rules). Event objects are only ever constructed when a
-# sink is attached (self._bus is not None).
+# Dependency-free modules (see repro.obs.__init__ for the layering
+# rules). Event objects are only ever constructed, and span_class only
+# ever called, when a sink or attribution is attached.
+from repro.obs.attribution import F_DCACHE, F_FU, F_SYNC, span_class
 from repro.obs.events import (CommitEvent, DecodeEvent, FetchEvent,
                               IssueEvent, SquashEvent, StallEvent,
                               WritebackEvent)
@@ -97,18 +104,16 @@ from repro.obs.events import (CommitEvent, DecodeEvent, FetchEvent,
 #: match the per-cycle loop.
 ENGINE_VERSION = 4
 
-_NO_FORWARD = object()
-
 _DIV_CLASSES = (FuClass.IDIV, FuClass.FPDIV)
 
 _LOAD_FU_BIT = 1 << FU_CLASSES.index(FuClass.LOAD)
 
-# Issue-condition flags observed by the skip engine's horizon scan.
-# Mirror repro.obs.attribution's _F_SYNC/_F_DCACHE/_F_FU (the pipeline
-# only imports plain-data event types from repro.obs; keep in sync).
-_F_SYNC = 1
-_F_DCACHE = 2
-_F_FU = 4
+# What PipelineSim._load_source answers besides a forwarded value: the
+# load must wait for memory order or synchronization, or for a cache
+# port; or it reads memory through the data cache.
+_HOLD_SYNC = object()
+_HOLD_DCACHE = object()
+_READ_MEMORY = object()
 
 
 class DeadlockError(RuntimeError):
@@ -180,6 +185,10 @@ class PipelineSim:
         self._wb_buckets = {}
         self._wb_cycles = []
         self._halted = 0  # threads whose HALT has committed
+        # Latest data-ready cycle of any load's data-cache miss: while
+        # ``now`` is below it, an otherwise unexplained stall is a
+        # dcache-miss wait (repro.obs.attribution.span_class).
+        self._miss_until = 0
         # Hot-loop copies of configuration fields (attribute chains cost).
         self._issue_width = cfg.issue_width
         self._writeback_width = cfg.writeback_width
@@ -270,25 +279,6 @@ class PipelineSim:
         progress_cycle = 0
         # The run loop allocates at a high, steady rate with almost no
         # garbage surviving a cycle; collector passes only add overhead.
-        # The fused loop below pre-binds every per-cycle attribute and
-        # inlines the body of ``step``; it is cycle-for-cycle identical
-        # to calling ``step`` in a loop and is used only when ``step``
-        # is the stock method (tests replace it to model wedges).
-        fused = ("step" not in self.__dict__
-                 and type(self).step is PipelineSim.step)
-        su = self.su
-        store_buffer = self.store_buffer
-        cache = self.cache
-        memory = self.memory
-        attr = self._attr
-        metrics = self._metrics
-        wb_cycles = self._wb_cycles
-        bypassing = self._bypassing
-        commit = self._commit
-        issue = self._issue
-        writeback = self._writeback
-        decode = self._decode
-        fetch = self._fetch
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -300,34 +290,7 @@ class PipelineSim:
                         f"threads: {self.threads}")
                 if fast_forward:
                     skip()
-                if fused:
-                    # Inlined ``step`` — keep in sync with it.
-                    now = self.cycle
-                    committed = commit(now)
-                    if bypassing:
-                        if wb_cycles and wb_cycles[0] <= now:
-                            writeback(now)
-                        if su.issuable:
-                            issue(now)
-                    else:
-                        if su.issuable:
-                            issue(now)
-                        if wb_cycles and wb_cycles[0] <= now:
-                            writeback(now)
-                    if self.fetch_buffer is not None:
-                        decode(now)
-                    if self.fetch_buffer is None:
-                        fetch(now)
-                    if store_buffer.entries:
-                        store_buffer.drain_one(cache, memory, now)
-                    stats.su_occupancy_sum += su._entry_count
-                    if attr is not None:
-                        attr.close_cycle(self, now, committed)
-                    if metrics is not None:
-                        metrics.on_cycle(self, now)
-                    self.cycle = now + 1
-                else:
-                    step()
+                step()
                 if hang_limit:
                     committed = stats.committed
                     if committed != last_committed:
@@ -425,12 +388,10 @@ class PipelineSim:
             if drain_at <= now:
                 return
         su = self.su
-        index = su.choose_commit_block(self._commit_blocks)
-        if index is not None:
-            block = su.blocks[index]
-            free = store_buffer.depth - len(store_buffer.entries)
-            if block.store_count <= free:
-                return  # a block will commit this cycle
+        if su.choose_commit_block(
+                self._commit_blocks,
+                store_buffer.depth - len(store_buffer.entries)) is not None:
+            return  # a block will commit this cycle
         flags = 0
         fu_free_at = None
         if su.issuable:
@@ -469,18 +430,19 @@ class PipelineSim:
         bus = self._bus
         if bus is not None:
             bus.emit(StallEvent(
-                now, self._span_reason(now, su_full, fetch_idle, flags),
+                now, span_class(self, now, su_full, fetch_idle, flags),
                 skipped))
         self.cycle = target
 
     def _issue_horizon(self, now):
         """Prove no ready entry can issue at ``now``, without issuing.
 
-        A side-effect-free mirror of one :meth:`_issue` scan: it visits
-        exactly the candidates issue would visit and applies the same
-        per-entry checks against pristine cycle-start state (the first
-        issuing candidate exists for :meth:`_issue` iff it exists
-        here). Returns ``None`` as soon as any candidate could issue;
+        A side-effect-free replay of one :meth:`_issue` scan: it visits
+        exactly the candidates issue would visit and asks the same
+        questions of pristine cycle-start state — unit availability,
+        then :meth:`_load_source` for loads (the first issuing
+        candidate exists for :meth:`_issue` iff it exists here).
+        Returns ``None`` as soon as any candidate could issue;
         otherwise ``(fu_free_at, flags)``, where ``fu_free_at`` is the
         earliest release among blocking unpipelined units (``None`` if
         no candidate is FU-blocked) and ``flags`` carries the stall
@@ -497,77 +459,30 @@ class PipelineSim:
             info = entry.info
             fu_index = info.fu_index
             if not pool.available(fu_index, now):
-                flags |= _F_FU
+                flags |= F_FU
                 free_at = pool.next_free(fu_index, now)
                 if fu_free_at is None or free_at < fu_free_at:
                     fu_free_at = free_at
             elif not info.is_load:
                 return None
             else:
-                why = self._load_blocked(entry, now)
-                if not why:
+                source = self._load_source(entry, now)
+                if source is _HOLD_SYNC:
+                    flags |= F_SYNC
+                elif source is _HOLD_DCACHE:
+                    flags |= F_DCACHE
+                else:
                     return None
-                flags |= why
             remaining -= 1
             if remaining == 0:
                 break
         return fu_free_at, flags
 
-    def _load_blocked(self, entry, now):
-        """Why a ready load cannot issue at ``now`` — 0 when it can.
-
-        Mirrors the decision chain of :meth:`_issue_load` (including
-        the address computation, which issue would redo identically)
-        without performing the access. The cache-port checks can never
-        fail at a fresh cycle — ports are per-cycle state — and are
-        kept only to stay textually parallel with the issue path.
-        """
-        entry.addr = addr = int(entry.vals[0]) + entry.instr.imm
-        su = self.su
-        if su.older_mem_unissued(entry):
-            return _F_SYNC
-        if entry.instr.op is Op.TAS:
-            if not su.all_older_done(entry):
-                return _F_SYNC
-            if self.store_buffer.has_match(addr):
-                return _F_SYNC
-            if not self.cache.can_access(now):
-                return _F_DCACHE
-            return 0
-        if su.older_store_conflict(entry):
-            return _F_SYNC
-        if self._forward_value(entry) is not _NO_FORWARD:
-            return 0
-        if not 0 <= addr < self.memory.size:
-            return 0
-        if not self.cache.can_access(now):
-            return _F_DCACHE
-        return 0
-
-    def _span_reason(self, now, su_full, fetch_idle, flags):
-        """Stall-class label for a skipped span's :class:`StallEvent`.
-
-        Same priority order as the attribution layer's
-        ``close_cycle``/``note_skip``, computed from engine state alone
-        so event sinks see per-class reasons even without attribution
-        attached.
-        """
-        if su_full:
-            return "su-full"
-        if flags & _F_SYNC:
-            return "sync"
-        if flags & _F_DCACHE or self.cache.refill_horizon(now) is not None:
-            return "dcache-miss"
-        if flags & _F_FU:
-            return "fu-contention"
-        if self._wb_cycles and not self.su.issuable:
-            return "fu-contention"
-        if fetch_idle:
-            return "fetch-idle"
-        return "decode-stall"
-
     def _decode_blocked(self):
-        """Would :meth:`_decode` stall this cycle (no state change)?"""
+        """True when decode must stall this cycle: the SU is at block
+        capacity, or (renaming off) a fetched instruction's destination
+        still has an in-flight writer. Changes no state, so the skip
+        engine asks it too."""
         su = self.su
         if len(su.blocks) >= su.capacity_blocks:
             return True
@@ -602,30 +517,12 @@ class PipelineSim:
         slot was lost to a full scheduling unit, 0 otherwise (the stall
         attribution's ``commit_status``)."""
         su = self.su
-        blocks = su.blocks
-        # Flexible Result Commit, inlined from su.choose_commit_block
-        # (keep in sync): the first ready bottom block whose thread is
-        # not represented among the lower, uncommitted blocks.
-        limit = len(blocks)
-        commit_blocks = self._commit_blocks
-        if commit_blocks < limit:
-            limit = commit_blocks
-        index = None
-        blocked = 0  # bitmask of thread ids seen in lower blocks
-        for i in range(limit):
-            block = blocks[i]
-            bit = 1 << block.tid
-            if not block.not_done and not blocked & bit:
-                # A block additionally needs store-buffer room for its
-                # stores.
-                store_buffer = self.store_buffer
-                if block.store_count <= (store_buffer.depth
-                                         - len(store_buffer.entries)):
-                    index = i
-                break
-            blocked |= bit
+        store_buffer = self.store_buffer
+        index = su.choose_commit_block(
+            self._commit_blocks,
+            store_buffer.depth - len(store_buffer.entries))
         if index is None:
-            if len(blocks) >= su.capacity_blocks:
+            if len(su.blocks) >= su.capacity_blocks:
                 self.stats.su_stall_cycles += 1
                 status = 2
             else:
@@ -638,11 +535,9 @@ class PipelineSim:
         return status
 
     def _commit_block(self, index):
-        """Retire the block at ``index``: one walk does both the
-        scheduling-unit removal (inlined from ``SchedulingUnit.pop_block``
-        — keep in sync) and the architectural commit actions."""
-        su = self.su
-        block = su.blocks.pop(index)
+        """Retire the block at ``index``: take it out of the scheduling
+        unit, then perform its architectural commit actions."""
+        block = self.su.pop_block(index)
         tid = block.tid
         entries = block.entries
         now = self.cycle
@@ -650,32 +545,16 @@ class PipelineSim:
         if bus is not None:
             bus.emit(CommitEvent(now, tid, [entry.tag for entry in entries]))
         stats = self.stats
+        # The per-instruction register write: commit-time destinations
+        # come from validated programs, so RegisterFile.write's bounds
+        # checks reduce to the r0 discard and the 32-bit integer wrap.
         regs = self.regs
-        # Register-write fast path: commit-time destinations come from
-        # validated programs, so the bounds checks of ``regs.write``
-        # reduce to the r0 discard and the 32-bit integer wrap. Keep in
-        # sync with RegisterFile.write.
         regs_arr = regs._regs
         reg_base = tid * regs.k
         predictor = self.predictor
-        by_tag = su.by_tag
-        stores = su._tid_stores[tid]
-        writers = su._writers[tid]
         for entry in entries:
-            by_tag.pop(entry.tag, None)
             dest = entry.dest
             if dest is not None:
-                stack = writers[dest]
-                if stack:
-                    # Per-thread in-order commit: the committed entry is
-                    # the oldest surviving writer, i.e. the stack head.
-                    if stack[0] is entry:
-                        del stack[0]
-                    else:
-                        try:
-                            stack.remove(entry)
-                        except ValueError:
-                            pass
                 result = entry.result
                 if result is not None and dest != REG_ZERO:
                     if isinstance(result, int):
@@ -685,7 +564,6 @@ class PipelineSim:
                     regs_arr[reg_base + dest] = result
             info = entry.info
             if info.is_store:
-                stores.remove(entry)
                 if not info.is_load:
                     sbe = self.store_buffer.allocate(entry.tag, tid,
                                                      entry.addr,
@@ -705,10 +583,7 @@ class PipelineSim:
                             thread.done = True
                             self._halted += 1
                         stats.finish_cycle[tid] = now
-            entry.block = None  # break the entry<->block reference cycle
         count = len(entries)
-        su._entry_count -= count
-        su._tid_count[tid] -= count
         stats.committed_per_thread[tid] += count
         stats.committed += count
         stats.commit_blocks += 1
@@ -758,8 +633,7 @@ class PipelineSim:
                 if entry.squashed:
                     continue  # squashed results vanish; no budget spent
                 budget -= 1
-                # Completion, inlined from the former _complete helper
-                # (this loop is its only caller).
+                # Completion and the wake-up of waiting consumers.
                 entry.state = DONE
                 entry.block.not_done -= 1
                 if bus is not None:
@@ -847,10 +721,9 @@ class PipelineSim:
         wb_buckets = self._wb_buckets
         wb_cycles = self._wb_cycles
         heappush = heapq.heappush
-        # FuPool internals, inlined for the pipelined-class fast path.
-        # Pipelined classes (occupancy 1) are fully described by the
-        # per-cycle acquire counter; only the dividers take the generic
-        # ``acquire`` path. Keep in sync with FuPool.acquire/available.
+        # Pipelined classes (occupancy 1) are fully described by a
+        # per-cycle acquire counter, which this loop keeps itself; only
+        # the dividers go through FuPool.acquire.
         occupancy = pool._occupancy
         used_cycle = pool._used_cycle
         used = pool._used
@@ -898,51 +771,36 @@ class PipelineSim:
                     continue
                 remaining -= 1
                 ready -= 1
-                issued = False
                 info = entry.info
                 fu_index = info.fu_index
                 bit = 1 << fu_index
-                if info.is_load:
-                    # The load/store class is always pipelined, so its
-                    # availability is just the per-cycle counter.
-                    tbit = 1 << entry.tid
-                    if mem_blocked & tbit:
-                        pass
-                    elif fu_blocked & bit or (
-                            used_cycle[fu_index] == now
-                            and used[fu_index] >= fu_counts[fu_index]):
-                        if not fu_blocked & bit and attr is not None:
-                            attr.flag_fu()
-                        fu_blocked |= bit
-                        mem_blocked |= tbit
-                    elif self._issue_load(entry, now, latency[fu_index]):
-                        issued = True
-                    else:
-                        mem_blocked |= tbit
+                ready_cycle = None
+                if info.is_load and mem_blocked & block_tbit:
+                    pass  # doomed by the in-order memory rule
                 elif fu_blocked & bit:
-                    if info.is_store:
-                        # An unissued store blocks the thread's younger
-                        # loads (in-order memory issue), not its stores.
-                        mem_blocked |= 1 << entry.tid
+                    if info.is_mem:
+                        # An unissued memory op blocks the thread's
+                        # younger loads (in-order memory issue).
+                        mem_blocked |= block_tbit
                 else:
+                    unit = None
                     if occupancy[fu_index] == 1:
-                        if used_cycle[fu_index] != now:
-                            used_cycle[fu_index] = now
-                            used[fu_index] = 0
-                        unit = used[fu_index]
-                        if unit < fu_counts[fu_index]:
-                            used[fu_index] = unit + 1
-                            fu_busy[fu_index][unit] += 1
-                        else:
-                            unit = None
+                        free = (used_cycle[fu_index] != now
+                                or used[fu_index] < fu_counts[fu_index])
                     else:
                         unit = pool.acquire(fu_index, now)
-                    if unit is None:
+                        free = unit is not None
+                    if not free:
                         fu_blocked |= bit
-                        if info.is_store:
-                            mem_blocked |= 1 << entry.tid
+                        if info.is_mem:
+                            mem_blocked |= block_tbit
                         if attr is not None:
                             attr.flag_fu()
+                    elif info.is_load:
+                        ready_cycle = self._issue_load(entry, now,
+                                                       latency[fu_index])
+                        if ready_cycle is None:
+                            mem_blocked |= block_tbit
                     else:
                         if info.is_store:
                             entry.addr = int(entry.vals[0]) + entry.instr.imm
@@ -955,33 +813,39 @@ class PipelineSim:
                             if fn is None:
                                 fn = build_exec(instr)
                             entry.result = fn(entry.vals, entry.tid, nthreads)
-                        # Inlined from _schedule (keep in sync). Loads
-                        # never reach this arm, so the only memory ops
-                        # here are stores.
                         ready_cycle = now + latency[fu_index]
-                        entry.state = ISSUED
-                        su.issuable -= 1
-                        block.ready -= 1
-                        if info.is_mem:
-                            su._tid_mem_waiting[entry.tid].remove(entry)
-                            block.ready_stores -= 1
-                        wb_bucket = wb_buckets.get(ready_cycle)
-                        if wb_bucket is None:
-                            wb_buckets[ready_cycle] = [entry]
-                            heappush(wb_cycles, ready_cycle)
+                if ready_cycle is not None:
+                    if unit is None:
+                        if used_cycle[fu_index] != now:
+                            used_cycle[fu_index] = now
+                            used[fu_index] = 0
+                        unit = used[fu_index]
+                        used[fu_index] = unit + 1
+                        fu_busy[fu_index][unit] += 1
+                    entry.state = ISSUED
+                    su.issuable -= 1
+                    block.ready -= 1
+                    if info.is_mem:
+                        su._tid_mem_waiting[entry.tid].remove(entry)
+                        if info.is_load:
+                            block.ready_loads -= 1
                         else:
-                            wb_bucket.append(entry)
-                        stats.issued += 1
-                        if bus is not None:
-                            instr = entry.instr
-                            text = instr._text
-                            if text is None:
-                                text = instr.text()
-                            bus.emit(IssueEvent(now, entry.tag, entry.tid,
-                                                entry.pc, fu_index, unit,
-                                                ready_cycle, text))
-                        issued = True
-                if issued:
+                            block.ready_stores -= 1
+                    wb_bucket = wb_buckets.get(ready_cycle)
+                    if wb_bucket is None:
+                        wb_buckets[ready_cycle] = [entry]
+                        heappush(wb_cycles, ready_cycle)
+                    else:
+                        wb_bucket.append(entry)
+                    stats.issued += 1
+                    if bus is not None:
+                        instr = entry.instr
+                        text = instr._text
+                        if text is None:
+                            text = instr.text()
+                        bus.emit(IssueEvent(now, entry.tag, entry.tid,
+                                            entry.pc, fu_index, unit,
+                                            ready_cycle, text))
                     budget -= 1
                     if budget == 0:
                         return
@@ -991,44 +855,66 @@ class PipelineSim:
                     break  # no more candidates in this block
 
     def _issue_load(self, entry, now, latency):
-        entry.addr = addr = int(entry.vals[0]) + entry.instr.imm
-        su = self.su
+        """Perform a ready load (or ``tas``) whose load unit is free.
+
+        Returns the cycle its value is ready, or ``None`` when it must
+        wait (flagging the stall class for attribution).
+        """
+        source = self._load_source(entry, now)
+        if source is _READ_MEMORY:
+            addr = entry.addr
+            ready = self.cache.access(addr, now) + latency
+            if ready > now + latency and ready > self._miss_until:
+                self._miss_until = ready
+            memory = self.memory
+            entry.result = memory.read(addr)
+            if entry.instr.op is Op.TAS:
+                memory.write(addr, 1)  # the atomic read-modify-write
+            return ready
         attr = self._attr
-        # In-order memory issue, inlined from su.older_mem_unissued:
-        # the thread's oldest waiting memory op must be this entry.
-        head = su._tid_mem_waiting[entry.tid][0]
-        if head is not entry and head.order < entry.order:
+        if source is _HOLD_SYNC:
             if attr is not None:
                 attr.flag_sync()
-            return False
+            return None
+        if source is _HOLD_DCACHE:
+            if attr is not None:
+                attr.flag_dcache()
+            return None
+        entry.result = source
+        return now + latency
+
+    def _load_source(self, entry, now):
+        """Where a ready load's value comes from at ``now``.
+
+        Returns ``_HOLD_SYNC`` (memory order or synchronization holds
+        it), ``_HOLD_DCACHE`` (no cache port), ``_READ_MEMORY`` (read
+        through the data cache) or the forwarded value itself. Changes
+        no machine state — it only records the effective address, which
+        every call computes identically — so the fast-forward horizon
+        scan asks it the same question the issue stage does.
+        """
+        entry.addr = addr = int(entry.vals[0]) + entry.instr.imm
+        su = self.su
+        # Per-thread in-order memory issue: loads sample memory at
+        # issue, so a load may not pass an older unissued memory op
+        # (without this it could hoist above an in-flight ``tas`` and
+        # read data the lock does not yet protect).
+        if su._tid_mem_waiting[entry.tid][0] is not entry:
+            return _HOLD_SYNC
         if entry.instr.op is Op.TAS:
-            if not su.all_older_done(entry):
-                if attr is not None:
-                    attr.flag_sync()
-                return False
-            if self.store_buffer.has_match(addr):
-                if attr is not None:
-                    attr.flag_sync()
-                return False
+            # Non-speculative, and only once the store buffer holds no
+            # write to its address; then an atomic read-modify-write.
+            if not su.all_older_done(entry) or self.store_buffer.has_match(
+                    addr):
+                return _HOLD_SYNC
             if not self.cache.can_access(now):
-                if attr is not None:
-                    attr.flag_dcache()
-                return False
-            unit = self.fu_pool.acquire(entry.info.fu_index, now)
-            ready = self.cache.access(addr, now) + latency
-            if attr is not None and ready > now + latency:
-                attr.note_miss(ready)
-            entry.result = self.memory.read(addr)
-            self.memory.write(addr, 1)
-            self._schedule(entry, ready, unit)
-            return True
+                return _HOLD_DCACHE
+            return _READ_MEMORY
         # One walk over the thread's older in-flight stores covers both
-        # the restricted load/store conflict check and the SU leg of
-        # store-to-load forwarding (inlined from older_store_conflict
-        # and _forward_value; keep in sync). A store that matches the
-        # address and has not executed — or whose address is still
-        # unresolved — blocks the load; otherwise the youngest match
-        # forwards its value and is guaranteed DONE.
+        # the restricted load/store check and store-to-load forwarding.
+        # A store that matches the address and has not executed — or
+        # whose address is still unresolved — holds the load; otherwise
+        # the youngest match forwards its value (it is necessarily DONE).
         order = entry.order
         best = None
         for store in su._tid_stores[entry.tid]:
@@ -1036,68 +922,24 @@ class PipelineSim:
                 break  # program-ordered: the rest are younger
             st_addr = store.addr
             if store.state != DONE and (st_addr is None or st_addr == addr):
-                if attr is not None:
-                    attr.flag_sync()
-                return False
+                return _HOLD_SYNC
             if st_addr == addr:
                 best = store
-        pool = self.fu_pool
-        fu_index = entry.info.fu_index
         if best is not None:
-            entry.result = best.vals[1]
-            self._schedule(entry, now + latency, pool.acquire(fu_index, now))
-            return True
+            return best.vals[1]
+        # Then the youngest committed store-buffer entry for the address.
         for sbe in reversed(self.store_buffer.entries):
             if sbe.addr == addr:
-                entry.result = sbe.value
-                self._schedule(entry, now + latency,
-                               pool.acquire(fu_index, now))
-                return True
-        memory = self.memory
-        if not 0 <= addr < memory.size:
+                return sbe.value
+        if not 0 <= addr < self.memory.size:
             # A wrong-path load may compute a garbage address; hardware
             # does not fault speculatively, so return a dummy value. A
             # wild load on the *correct* path is a program bug that the
             # functional simulator reports as a MemoryFault.
-            entry.result = 0
-            self._schedule(entry, now + latency, pool.acquire(fu_index, now))
-            return True
-        cache = self.cache
-        if not cache.can_access(now):
-            if attr is not None:
-                attr.flag_dcache()
-            return False
-        unit = pool.acquire(fu_index, now)
-        ready = cache.access(addr, now) + latency
-        if attr is not None and ready > now + latency:
-            attr.note_miss(ready)
-        entry.result = memory.read(addr)
-        self._schedule(entry, ready, unit)
-        return True
-
-    def _forward_value(self, entry):
-        """Store-to-load forwarding.
-
-        Priority: the youngest *older same-thread* store still in the
-        scheduling unit (value known once it has executed), then the
-        youngest committed store-buffer entry for the address, then
-        memory (signalled by ``_NO_FORWARD``).
-        """
-        addr = entry.addr
-        order = entry.order
-        best = None
-        for candidate in self.su.stores_of(entry.tid):
-            if candidate.order >= order:
-                break  # program-ordered: the rest are younger
-            if candidate.addr == addr:
-                best = candidate
-        if best is not None:
-            # older_store_conflict guarantees the store has executed.
-            return best.vals[1]
-        for sbe in reversed(self.store_buffer.entries):
-            if sbe.addr == addr:
-                return sbe.value
-        return _NO_FORWARD
+            return 0
+        if not self.cache.can_access(now):
+            return _HOLD_DCACHE
+        return _READ_MEMORY
 
     def _prepare_control(self, entry):
         op = entry.instr.op
@@ -1115,160 +957,31 @@ class PipelineSim:
             entry.actual_target = int(entry.vals[0])
             entry.result = pc + 1
 
-    def _schedule(self, entry, ready_cycle, unit=None):
-        entry.state = ISSUED
-        su = self.su
-        su.issuable -= 1
-        block = entry.block
-        block.ready -= 1
-        info = entry.info
-        if info.is_mem:
-            su._tid_mem_waiting[entry.tid].remove(entry)
-            if info.is_load:
-                block.ready_loads -= 1
-            else:
-                block.ready_stores -= 1
-        bucket = self._wb_buckets.get(ready_cycle)
-        if bucket is None:
-            self._wb_buckets[ready_cycle] = [entry]
-            heapq.heappush(self._wb_cycles, ready_cycle)
-        else:
-            bucket.append(entry)
-        self.stats.issued += 1
-        bus = self._bus
-        if bus is not None:
-            instr = entry.instr
-            text = instr._text
-            if text is None:
-                text = instr.text()
-            bus.emit(IssueEvent(self.cycle, entry.tag, entry.tid, entry.pc,
-                                info.fu_index, unit, ready_cycle, text))
-
     # ------------------------------------------------------------- decode
 
     def _decode(self, now):
-        if self.fetch_buffer is None:
-            return
-        su = self.su
-        if len(su.blocks) >= su.capacity_blocks:
+        if self._decode_blocked():
             self.stats.decode_stall_cycles += 1
             return
         thread, items = self.fetch_buffer
         tid = thread.tid
-        if not self._renaming and self._scoreboard_hazard(tid, items):
-            self.stats.decode_stall_cycles += 1
-            return
-        # Inlined from su.new_block / SUBlock.__init__ (keep in sync);
-        # the capacity check above already guarantees room.
-        block = SUBlock.__new__(SUBlock)
-        block.seq = seq = su._next_seq
-        su._next_seq = seq + 1
-        block.tid = tid
-        block.entries = []
-        block.ready = 0
-        block.ready_loads = 0
-        block.ready_stores = 0
-        block.ready_fu_mask = 0
-        block.not_done = 0
-        block.store_count = 0
-        su.blocks.append(block)
-        next_tag = self._next_tag
-        # ``su.add``, ``SUEntry.__init__`` and ``_rename_operands`` are
-        # inlined here (the per-instruction method calls are
-        # measurable); keep them in sync with their scheduler
-        # counterparts and with the standalone rename method.
-        new_entry = SUEntry.__new__
-        entries = block.entries
-        by_tag = su.by_tag
-        tid_stores = su._tid_stores[tid]
-        mem_waiting = su._tid_mem_waiting[tid]
-        writers = su._writers[tid]
         regs = self.regs
-        regs_arr = regs._regs
-        reg_base = tid * regs.k
-        seq8 = block.seq << 3
-        issuable_add = 0
-        for item in items:
-            instr = item.instr
-            entry = new_entry(SUEntry)
-            entry.tag = next_tag
-            entry.tid = tid
-            entry.pc = item.pc
-            entry.instr = instr
-            entry.info = info = instr.info
-            dest = instr._dest
-            if dest is False:
-                dest = instr.dest()
-            entry.dest = dest
-            entry.state = WAITING
-            entry.waiters = None
-            entry.result = None
-            entry.addr = None
-            entry.actual_taken = None
-            entry.actual_target = None
-            entry.squashed = False
-            entry.predicted_taken = item.predicted_taken
-            entry.predicted_target = item.predicted_target
-            next_tag += 1
-            # Operand rename, inlined from _rename_operands: pick up
-            # each source from the youngest in-flight writer (value if
-            # DONE, a wakeup subscription otherwise) or the register
-            # file (r0 reads as zero).
-            sources = instr._sources
-            if sources is None:
-                sources = instr.sources()
-            entry.vals = vals = [None] * len(sources)
-            pending = 0
-            for index, reg in enumerate(sources):
-                if reg == 0:
-                    vals[index] = 0
-                    continue
-                stack = writers[reg]
-                if not stack:
-                    vals[index] = regs_arr[reg_base + reg]
-                    continue
-                producer = stack[-1]
-                if producer.state == DONE:
-                    vals[index] = producer.result
-                else:
-                    pending += 1
-                    waiters = producer.waiters
-                    if waiters is None:
-                        producer.waiters = [(entry, index)]
-                    else:
-                        waiters.append((entry, index))
-            entry.pending = pending
-            entry.order = seq8 | len(entries)
-            entry.block = block
-            entries.append(entry)
-            by_tag[entry.tag] = entry
-            if info.is_store:
-                tid_stores.append(entry)
-                if not info.is_load:
-                    block.store_count += 1
-            if info.is_mem:
-                mem_waiting.append(entry)
-            if not entry.pending:
-                issuable_add += 1
-                block.ready_fu_mask |= 1 << info.fu_index
-                if info.is_load:
-                    block.ready_loads += 1
-                elif info.is_store:
-                    block.ready_stores += 1
-            if dest is not None:
-                writers[dest].append(entry)
+        next_tag = self._next_tag
+        block = self.su.insert_block(tid, items, next_tag, regs._regs,
+                                     tid * regs.k)
+        self._next_tag = next_tag + len(items)
+        self.fetch_buffer = None
+        entries = block.entries
+        # Front-end actions: a context-switch trigger tells the fetch
+        # unit, and the jalr that stopped the thread's fetch (marked -1
+        # by fetch) gets its tag, so its writeback restarts fetch at
+        # the resolved target.
+        for entry in entries:
+            info = entry.info
             if info.switch_trigger:
                 self.fetch_unit.note_switch_trigger()
             elif info.ctl_kind == 3 and thread.jalr_wait == -1:  # jalr
                 thread.jalr_wait = entry.tag
-        count = len(entries)
-        block.not_done = count
-        block.ready = issuable_add
-        su.issuable += issuable_add
-        su._entry_count += count
-        su._tid_count[tid] += count
-        self._next_tag = next_tag
-        self.fetch_buffer = None
         bus = self._bus
         if bus is not None:
             bus.emit(DecodeEvent(now, tid, block.seq,
@@ -1285,41 +998,6 @@ class PipelineSim:
             if dest and self.su.lookup_operand(tid, dest) is not None:
                 return True
         return False
-
-    def _rename_operands(self, entry):
-        """Reference copy of the rename logic inlined in :meth:`_decode`.
-
-        Kept for clarity and for unit-level use; the decode loop carries
-        an inlined duplicate (see the comment there) — keep both in
-        sync.
-        """
-        sources = entry.instr.sources()
-        nsources = len(sources)
-        entry.vals = vals = [None] * nsources
-        pending = 0
-        tid = entry.tid
-        writers = self.su._writers[tid]
-        regs = self.regs
-        for index in range(nsources):
-            reg = sources[index]
-            if reg == 0:
-                vals[index] = 0
-                continue
-            stack = writers[reg]
-            if not stack:
-                vals[index] = regs.read(tid, reg)
-                continue
-            producer = stack[-1]
-            if producer.state == DONE:
-                vals[index] = producer.result
-            else:
-                pending += 1
-                waiters = producer.waiters
-                if waiters is None:
-                    producer.waiters = [(entry, index)]
-                else:
-                    waiters.append((entry, index))
-        entry.pending = pending
 
     # -------------------------------------------------------------- fetch
 

@@ -14,9 +14,11 @@ Incremental indexes
 The hardware answers ordering questions (youngest older writer, older
 unresolved store, oldest unfinished entry) with CAM searches over the
 whole unit. Scanning every block per query is the simulator's hot path,
-so the SU maintains the answers incrementally instead — updated on
-``add``, ``note_issued``/``note_done`` (state transitions), ``squash_younger``
-and ``pop_block``:
+so the SU maintains the answers incrementally instead. They are built
+by :meth:`SchedulingUnit.insert_block` (decode), kept current by the
+pipeline's issue and writeback stages (the WAITING -> ISSUED -> DONE
+transitions, done in their per-instruction loops), and torn down by
+:meth:`SchedulingUnit.squash_younger` and :meth:`SchedulingUnit.pop_block`:
 
 * ``_writers`` — per-thread, per-register stacks of in-flight writers
   (rename), indexed ``_writers[tid][reg]``.
@@ -34,13 +36,13 @@ and ``pop_block``:
 Rarely-evaluated predicates (``all_older_done``, used only by ``tas``;
 ``threads_with_inflight``, used only by the masked-RR long-latency
 ablation) deliberately stay as scans: maintaining an index on every
-add/complete/squash costs more than the occasional walk.
+insert/complete/squash costs more than the occasional walk.
 
 Every index mirrors exactly the predicate the old full scans evaluated;
 ``tests/test_golden_cycles.py`` pins the resulting cycle counts.
 """
 
-from repro.isa.opcodes import FU_CLASSES, Format, Op
+from repro.isa.opcodes import FU_CLASSES
 from repro.isa.registers import regs_per_thread
 
 # Entry states.
@@ -48,52 +50,22 @@ WAITING = 0
 ISSUED = 1
 DONE = 2
 
-_UNARY_R = {Op.CVTIF, Op.CVTFI, Op.FNEG}
-
 
 class SUEntry:
-    """One instruction resident in the scheduling unit."""
+    """One instruction resident in the scheduling unit.
+
+    Built only by :meth:`SchedulingUnit.insert_block`, which sets every
+    slot. ``vals`` holds the source operand values (``None`` while one
+    is outstanding), ``waiters`` the ``(consumer entry, operand index)``
+    pairs woken by this entry's writeback, ``pending`` the number of
+    outstanding operands, and ``order`` the dense program-order key
+    ``(block.seq << 3) | slot``.
+    """
 
     __slots__ = ("tag", "tid", "pc", "instr", "info", "dest", "state",
                  "vals", "waiters", "pending", "result", "addr", "order",
                  "block", "predicted_taken", "predicted_target",
                  "actual_taken", "actual_target", "squashed")
-
-    def __init__(self, tag, tid, pc, instr):
-        self.tag = tag
-        self.tid = tid
-        self.pc = pc
-        self.instr = instr
-        self.info = instr.info
-        self.dest = instr.dest()
-        self.state = WAITING
-        self.vals = None  # filled by rename
-        self.waiters = None  # [(consumer entry, operand index)] or None
-        self.pending = 0
-        self.result = None
-        self.addr = None
-        self.order = -1  # dense program-order key: (block.seq << 3) | slot
-        self.block = None
-        self.predicted_taken = False
-        self.predicted_target = None
-        self.actual_taken = None
-        self.actual_target = None
-        self.squashed = False
-
-    def operand_values(self):
-        """(a, b) operand pair for :func:`repro.isa.semantics.compute`."""
-        fmt = self.info.fmt
-        if fmt is Format.R:
-            if self.instr.op in _UNARY_R:
-                return self.vals[0], 0
-            return self.vals[0], self.vals[1]
-        if fmt is Format.I:
-            return self.vals[0], self.instr.imm
-        return 0, 0
-
-    def is_older_than(self, other):
-        """Program order comparison (valid within one thread)."""
-        return self.order < other.order
 
     def __repr__(self):
         state = {WAITING: "WAIT", ISSUED: "ISSUED", DONE: "DONE"}[self.state]
@@ -104,36 +76,23 @@ class SUEntry:
 class SUBlock:
     """A block of up to four same-thread entries.
 
-    ``ready`` counts WAITING entries whose operands are all available,
-    so the issue scan can skip blocks with no candidate; ``not_done``
-    counts entries that have not written back, making :meth:`commit_ready`
-    O(1); ``store_count`` counts pure stores so the commit stage's
+    Built only by :meth:`SchedulingUnit.insert_block`. ``ready`` counts
+    WAITING entries whose operands are all available, so the issue scan
+    can skip blocks with no candidate; ``ready_loads`` and
+    ``ready_stores`` are the subsets of ``ready`` that are loads and
+    pure stores. ``ready_fu_mask`` is a bitmask (over ``fu_index``) of
+    classes that have had a ready entry: bits are set when an entry
+    becomes ready and never cleared, so it is a conservative superset
+    of the classes currently represented — enough for the issue stage's
+    whole-block skip, which only needs "every candidate's class is
+    exhausted" to be implied by mask coverage. ``not_done`` counts
+    entries that have not written back (the block may commit at zero),
+    and ``store_count`` counts pure stores so the commit stage's
     store-buffer-space check needs no scan.
     """
 
     __slots__ = ("seq", "tid", "entries", "ready", "ready_loads",
                  "ready_stores", "ready_fu_mask", "not_done", "store_count")
-
-    def __init__(self, seq, tid):
-        self.seq = seq
-        self.tid = tid
-        self.entries = []
-        self.ready = 0
-        self.ready_loads = 0  # the subset of ``ready`` that are loads
-        self.ready_stores = 0  # the subset that are pure stores
-        #: Bitmask (over ``fu_index``) of classes that have had a ready
-        #: entry. Bits are set when an entry becomes ready and never
-        #: cleared, so the mask is a conservative superset of the
-        #: classes currently represented — good enough for the issue
-        #: stage's whole-block skip, which only needs "every candidate's
-        #: class is exhausted" to be implied by mask coverage.
-        self.ready_fu_mask = 0
-        self.not_done = 0
-        self.store_count = 0
-
-    def commit_ready(self):
-        """True when every surviving entry has finished executing."""
-        return not self.not_done
 
     def __repr__(self):
         return f"SUBlock(seq={self.seq}, tid={self.tid}, {len(self.entries)} entries)"
@@ -172,72 +131,107 @@ class SchedulingUnit:
         """Number of live entries belonging to thread ``tid``."""
         return self._tid_count[tid]
 
-    def stores_of(self, tid):
-        """Thread ``tid``'s in-flight stores, oldest first (live view)."""
-        return self._tid_stores[tid]
+    def insert_block(self, tid, items, next_tag, regs_arr, reg_base):
+        """Decode one fetched block of thread ``tid`` into a new top block.
 
-    def new_block(self, tid):
-        """Append an empty block at the top; caller fills it via :meth:`add`."""
-        if self.full:
-            raise RuntimeError("SU overflow; caller must check .full")
-        block = SUBlock(self._next_seq, tid)
-        self._next_seq += 1
-        self.blocks.append(block)
-        return block
-
-    def add(self, block, entry):
-        """Place a decoded entry into ``block``.
-
-        ``entry.pending`` must already be final (rename runs first) so
-        the issuable counter stays exact.
+        ``items`` are the :class:`~repro.core.fetch.FetchedInstr` of one
+        fetch; their entries are tagged ``next_tag``, ``next_tag + 1``,
+        and so on. The caller has checked :attr:`full`. Each source
+        operand is renamed on the way in: ``r0`` reads as zero, a
+        register with an in-flight writer takes the youngest writer's
+        result once it is DONE and otherwise subscribes to its wake-up,
+        and any other register reads the thread's architectural value
+        ``regs_arr[reg_base + reg]``. Returns the new :class:`SUBlock`.
         """
-        entry.order = (block.seq << 3) | len(block.entries)
-        entry.block = block
-        block.entries.append(entry)
-        tid = entry.tid
-        self.by_tag[entry.tag] = entry
-        self._entry_count += 1
-        self._tid_count[tid] += 1
-        info = entry.info
-        if info.is_store:
-            self._tid_stores[tid].append(entry)
-            if not info.is_load:
-                block.store_count += 1
-        # The pipeline always adds freshly-decoded WAITING entries; unit
-        # tests may pre-set a later state, so index by the actual state.
-        state = entry.state
-        if state == WAITING:
+        block = SUBlock()
+        block.seq = seq = self._next_seq
+        self._next_seq = seq + 1
+        block.tid = tid
+        block.entries = entries = []
+        block.ready_loads = 0
+        block.ready_stores = 0
+        block.ready_fu_mask = 0
+        block.store_count = 0
+        self.blocks.append(block)
+        by_tag = self.by_tag
+        tid_stores = self._tid_stores[tid]
+        mem_waiting = self._tid_mem_waiting[tid]
+        writers = self._writers[tid]
+        seq8 = seq << 3
+        ready = 0
+        tag = next_tag
+        for item in items:
+            instr = item.instr
+            entry = SUEntry()
+            entry.tag = tag
+            entry.tid = tid
+            entry.pc = item.pc
+            entry.instr = instr
+            entry.info = info = instr.info
+            dest = instr._dest
+            if dest is False:
+                dest = instr.dest()
+            entry.dest = dest
+            entry.state = WAITING
+            entry.waiters = None
+            entry.result = None
+            entry.addr = None
+            entry.actual_taken = None
+            entry.actual_target = None
+            entry.squashed = False
+            entry.predicted_taken = item.predicted_taken
+            entry.predicted_target = item.predicted_target
+            tag += 1
+            sources = instr._sources
+            if sources is None:
+                sources = instr.sources()
+            entry.vals = vals = [None] * len(sources)
+            pending = 0
+            for index, reg in enumerate(sources):
+                if reg == 0:
+                    vals[index] = 0
+                    continue
+                stack = writers[reg]
+                if not stack:
+                    vals[index] = regs_arr[reg_base + reg]
+                    continue
+                producer = stack[-1]
+                if producer.state == DONE:
+                    vals[index] = producer.result
+                else:
+                    pending += 1
+                    waiters = producer.waiters
+                    if waiters is None:
+                        producer.waiters = [(entry, index)]
+                    else:
+                        waiters.append((entry, index))
+            entry.pending = pending
+            entry.order = seq8 | len(entries)
+            entry.block = block
+            entries.append(entry)
+            by_tag[entry.tag] = entry
+            if info.is_store:
+                tid_stores.append(entry)
+                if not info.is_load:
+                    block.store_count += 1
             if info.is_mem:
-                self._tid_mem_waiting[tid].append(entry)
-            if not entry.pending:
-                self.issuable += 1
-                block.ready += 1
+                mem_waiting.append(entry)
+            if not pending:
+                ready += 1
                 block.ready_fu_mask |= 1 << info.fu_index
                 if info.is_load:
                     block.ready_loads += 1
                 elif info.is_store:
                     block.ready_stores += 1
-        if state != DONE:
-            block.not_done += 1
-        dest = entry.dest
-        if dest is not None:
-            self._writers[tid][dest].append(entry)
-
-    def note_issued(self, entry):
-        """Bookkeeping for a WAITING -> ISSUED transition."""
-        self.issuable -= 1
-        entry.block.ready -= 1
-        info = entry.info
-        if info.is_mem:
-            self._tid_mem_waiting[entry.tid].remove(entry)
-            if info.is_load:
-                entry.block.ready_loads -= 1
-            else:
-                entry.block.ready_stores -= 1
-
-    def note_done(self, entry):
-        """Bookkeeping for an ISSUED -> DONE transition (writeback)."""
-        entry.block.not_done -= 1
+            if dest is not None:
+                writers[dest].append(entry)
+        count = len(entries)
+        block.not_done = count
+        block.ready = ready
+        self.issuable += ready
+        self._entry_count += count
+        self._tid_count[tid] += count
+        return block
 
     def _drop_writer(self, entry):
         if entry.dest is None:
@@ -262,39 +256,6 @@ class SchedulingUnit:
         if stack:
             return stack[-1]
         return None
-
-    def older_store_conflict(self, load_entry):
-        """Restricted load/store policy check.
-
-        Returns True if an older same-thread store in the SU either has
-        an unresolved address or matches the load's address while its
-        data is not yet available in the store buffer — in either case
-        the load may not issue this cycle.
-        """
-        addr = load_entry.addr
-        order = load_entry.order
-        for entry in self._tid_stores[load_entry.tid]:
-            if entry.order >= order:
-                break  # program-ordered: the rest are younger
-            if entry.state != DONE and (entry.addr is None
-                                        or entry.addr == addr):
-                return True
-        return False
-
-    def older_mem_unissued(self, ref):
-        """True while an older same-thread memory op has not yet issued.
-
-        Loads sample memory at issue time, so issuing a thread's memory
-        operations in program order preserves per-thread load ordering
-        (TSO-like: stores still become visible at drain). Without this,
-        a load can be hoisted above an in-flight ``tas`` and read data
-        that the lock does not yet protect.
-        """
-        waiting = self._tid_mem_waiting[ref.tid]
-        if not waiting:
-            return False
-        head = waiting[0]
-        return head is not ref and head.order < ref.order
 
     def all_older_done(self, ref):
         """True when every older same-thread entry has executed.
@@ -414,13 +375,15 @@ class SchedulingUnit:
                            if b.entries or b.seq <= origin_seq]
         return squashed
 
-    def choose_commit_block(self, commit_blocks):
+    def choose_commit_block(self, commit_blocks, store_room):
         """Index of the block to commit this cycle, or ``None``.
 
         Implements Flexible Result Commit: examine the bottom
         ``commit_blocks`` blocks in order; the first ready block whose
         thread is not represented among the lower, uncommitted blocks
-        may commit. ``commit_blocks=1`` degenerates to the classic
+        may commit, provided its stores fit the ``store_room`` free
+        store-buffer slots (if they do not, nothing commits this
+        cycle). ``commit_blocks=1`` degenerates to the classic
         lowest-only reorder-buffer policy.
         """
         blocks = self.blocks
@@ -432,7 +395,9 @@ class SchedulingUnit:
             block = blocks[index]
             bit = 1 << block.tid
             if not block.not_done and not blocked & bit:
-                return index
+                if block.store_count <= store_room:
+                    return index
+                return None
             blocked |= bit
         return None
 

@@ -62,10 +62,12 @@ class Tracer:
         self.order = []
         #: (first skipped cycle, span) per fast-forward jump.
         self.idle_spans = []
-        #: Skipped cycles per stall-class reason ("sync", "dcache-miss",
-        #: "fu-contention", "su-full", "fetch-idle", "decode-stall") —
-        #: the skip engine labels every jumped span with the class the
-        #: attribution layer would have charged those cycles to.
+        #: Skipped cycles per stall-class reason ("su-full", "sync",
+        #: "dcache-miss", "fu-contention", "fetch-idle") — the skip
+        #: engine labels every jumped span with the class the
+        #: attribution layer charges those cycles to (one rule,
+        #: repro.obs.attribution.span_class; a scoreboard decode stall
+        #: is "fu-contention").
         self.skip_reasons = {}
 
     @classmethod

@@ -114,20 +114,6 @@ class DataCache:
         index, line = self._locate(addr)
         return line in self._sets[index]
 
-    def refill_horizon(self, now):
-        """Next-event horizon: latest in-flight refill completion, or
-        ``None`` when no refill is outstanding at cycle ``now``.
-
-        Part of the fast-forward protocol (``docs/PERFORMANCE.md``).
-        Classification-only: every miss's data-ready cycle is already a
-        writeback-calendar entry, so the refill never needs to bound the
-        jump itself — it tells the skip engine that an inert span is a
-        dcache-miss wait. Port arbitration is per-cycle state and can
-        never block a fresh cycle.
-        """
-        done = self._queued_done or self._refill_done
-        return done if done > now else None
-
     def _touch(self, index, line):
         ways = self._sets[index]
         ways.remove(line)

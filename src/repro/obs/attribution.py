@@ -23,8 +23,9 @@ Categories (first matching rule wins, evaluated per executed cycle):
     load blocked by the restricted load/store policy (older unresolved
     or conflicting same-thread store, per-thread in-order memory issue).
 ``dcache-miss``
-    A data-cache miss is outstanding, or a ready memory op lost cache
-    port arbitration this cycle.
+    A load's data-cache miss is outstanding (the engine's
+    ``_miss_until``; store-buffer drain refills do not count), or a
+    ready memory op lost cache port arbitration this cycle.
 ``fu-contention``
     Ready work failed to acquire a busy functional unit, or every
     in-flight instruction is waiting out functional-unit/result latency
@@ -42,9 +43,10 @@ Categories (first matching rule wins, evaluated per executed cycle):
     addition, :attr:`StallAttribution.ff_classes` charges every skipped
     cycle to the executed-cycle category :meth:`close_cycle` would have
     picked — the skip engine passes the condition flags its horizon
-    scan observed, and the span is classified with the same priority
-    order — so ``counts[cat] + ff_classes[cat]`` reproduces the slow
-    engine's breakdown exactly (see ``tests/test_obs_attribution.py``).
+    scan observed, and :func:`span_class` classifies executed cycles
+    and skipped spans alike — so ``counts[cat] + ff_classes[cat]``
+    reproduces the slow engine's breakdown exactly (see
+    ``tests/test_obs_attribution.py``).
 
 The attribution object is attached with
 ``PipelineSim.attach_attribution()`` **before** ``run()``; when it is
@@ -55,15 +57,51 @@ not attached the simulator pays one ``is None`` check per cycle.
 CATEGORIES = ("commit", "su-full", "sync", "dcache-miss",
               "fu-contention", "fetch-idle", "idle-ff")
 
-_F_SYNC = 1
-_F_DCACHE = 2
-_F_FU = 4
+#: Issue-condition flags: set per executed cycle by the issue stage
+#: (:meth:`StallAttribution.flag_sync` and friends) and observed per
+#: skipped span by the fast-forward engine's horizon scan.
+F_SYNC = 1
+F_DCACHE = 2
+F_FU = 4
+
+
+def span_class(sim, start, su_full, fetch_idle, flags):
+    """Stall category of cycle ``start`` — the one priority order.
+
+    Serves executed cycles (:meth:`StallAttribution.close_cycle`),
+    fast-forwarded spans (:meth:`StallAttribution.note_skip`) and the
+    ``reason`` of the skip engine's ``StallEvent``. ``su_full`` means
+    the commit slot was lost to a full scheduling unit and ``flags``
+    holds the issue-condition flags. ``fetch_idle`` says what the front
+    end did: ``True`` when no block was fetched, ``False`` when the
+    fetched block stalled in decode, ``None`` when it made progress
+    (executed cycles only; a skipped span's front end is always stalled
+    one way or the other).
+    """
+    if su_full:
+        return "su-full"
+    if flags & F_SYNC:
+        return "sync"
+    if flags & F_DCACHE or start < sim._miss_until:
+        return "dcache-miss"
+    if flags & F_FU or (sim._wb_cycles and not sim.su.issuable):
+        # Ready work found its unit busy, or everything in flight is
+        # waiting out result latency.
+        return "fu-contention"
+    if fetch_idle:
+        return "fetch-idle"
+    if fetch_idle is None:
+        # No stall condition held (pipeline ramp/drain).
+        return "commit"
+    # Scoreboard RAW wait (renaming off): the producer has not written
+    # back yet — a result-latency wait.
+    return "fu-contention"
 
 
 class StallAttribution:
     """Charges every simulated cycle to exactly one stall category."""
 
-    __slots__ = ("counts", "flags", "miss_until",
+    __slots__ = ("counts", "flags",
                  "ff_su_full", "ff_fetch_idle", "ff_decode_stall",
                  "ff_classes",
                  "_last_fetch_idle", "_last_decode_stall")
@@ -73,8 +111,6 @@ class StallAttribution:
         #: Per-cycle condition flags, set by the issue stage and cleared
         #: when the cycle is closed.
         self.flags = 0
-        #: Latest data-ready cycle of any outstanding cache miss.
-        self.miss_until = 0
         self.ff_su_full = 0
         self.ff_fetch_idle = 0
         self.ff_decode_stall = 0
@@ -88,20 +124,15 @@ class StallAttribution:
 
     def flag_sync(self):
         """A memory op was held by ordering/synchronization this cycle."""
-        self.flags |= _F_SYNC
+        self.flags |= F_SYNC
 
     def flag_dcache(self):
         """A ready memory op lost cache port arbitration this cycle."""
-        self.flags |= _F_DCACHE
+        self.flags |= F_DCACHE
 
     def flag_fu(self):
         """A ready instruction found its functional-unit class busy."""
-        self.flags |= _F_FU
-
-    def note_miss(self, ready_cycle):
-        """A load's cache access missed; data arrives at ``ready_cycle``."""
-        if ready_cycle > self.miss_until:
-            self.miss_until = ready_cycle
+        self.flags |= F_FU
 
     # ------------------------------------------------------ cycle close
 
@@ -117,25 +148,14 @@ class StallAttribution:
         stats = sim.stats
         if commit_status == 1:
             key = "commit"
-        elif commit_status == 2:
-            key = "su-full"
-        elif flags & _F_SYNC:
-            key = "sync"
-        elif flags & _F_DCACHE or now < self.miss_until:
-            key = "dcache-miss"
-        elif flags & _F_FU:
-            key = "fu-contention"
-        elif sim._wb_cycles and not sim.su.issuable:
-            # Everything in flight is waiting out result latency.
-            key = "fu-contention"
-        elif stats.fetch_idle_cycles > self._last_fetch_idle:
-            key = "fetch-idle"
-        elif stats.decode_stall_cycles > self._last_decode_stall:
-            # Scoreboard RAW wait (renaming off): the producer has not
-            # written back yet — a result-latency wait.
-            key = "fu-contention"
         else:
-            key = "commit"
+            if stats.fetch_idle_cycles > self._last_fetch_idle:
+                fetch_idle = True
+            elif stats.decode_stall_cycles > self._last_decode_stall:
+                fetch_idle = False
+            else:
+                fetch_idle = None
+            key = span_class(sim, now, commit_status == 2, fetch_idle, flags)
         self.counts[key] += 1
         self._last_fetch_idle = stats.fetch_idle_cycles
         self._last_decode_stall = stats.decode_stall_cycles
@@ -150,31 +170,17 @@ class StallAttribution:
         :meth:`verify` stays exact under ``fast_forward=True``; the
         span additionally lands in :attr:`ff_classes` under the
         category :meth:`close_cycle` would have charged every one of
-        its cycles to, using the identical priority order. (A state
-        frozen for the whole span yields the same flags every cycle,
-        and a span never crosses ``miss_until`` — the missed load's
+        its cycles to (both ask :func:`span_class`). A state frozen for
+        the whole span yields the same flags every cycle, and a span
+        never crosses the engine's ``_miss_until`` — the missed load's
         writeback bounds the jump — so one classification covers the
-        span exactly.)
+        span exactly.
         """
         self.counts["idle-ff"] += skipped
-        classes = self.ff_classes
+        self.ff_classes[span_class(sim, start, su_full, fetch_idle,
+                                   flags)] += skipped
         if su_full:
             self.ff_su_full += skipped
-            classes["su-full"] += skipped
-        elif flags & _F_SYNC:
-            classes["sync"] += skipped
-        elif flags & _F_DCACHE or start < self.miss_until:
-            classes["dcache-miss"] += skipped
-        elif flags & _F_FU:
-            classes["fu-contention"] += skipped
-        elif sim._wb_cycles and not sim.su.issuable:
-            # Everything in flight is waiting out result latency.
-            classes["fu-contention"] += skipped
-        elif fetch_idle:
-            classes["fetch-idle"] += skipped
-        else:
-            # Scoreboard RAW wait (renaming off) — a result-latency wait.
-            classes["fu-contention"] += skipped
         if fetch_idle:
             self.ff_fetch_idle += skipped
             self._last_fetch_idle += skipped

@@ -108,3 +108,33 @@ def test_fresh_attribution_is_empty():
     attr = StallAttribution()
     assert attr.total() == 0
     assert attr.to_dict() == dict.fromkeys(CATEGORIES, 0)
+
+
+@pytest.mark.parametrize("renaming", [True, False],
+                         ids=["rename-on", "rename-off"])
+@pytest.mark.parametrize("workload,nthreads", [("LL1", 1), ("LL5", 1),
+                                               ("Water", 2)])
+def test_stall_event_reasons_match_ff_classes(workload, nthreads, renaming):
+    """A skip's ``StallEvent.reason`` is the class attribution charges.
+
+    Event sinks and the attribution layer classify every fast-forwarded
+    span with one rule, so the skipped cycles summed by event reason
+    equal ``ff_classes`` exactly — with renaming off too, where spans
+    waiting on a scoreboard hazard or on a store-buffer refill are easy
+    to mislabel.
+    """
+    config = MachineConfig(nthreads=nthreads, renaming=renaming)
+    sim = PipelineSim(by_name(workload).program(nthreads), config)
+    attr = sim.attach_attribution()
+    by_reason = {}
+
+    def sink(event):
+        if event.kind == "stall":
+            by_reason[event.reason] = (by_reason.get(event.reason, 0)
+                                       + event.span)
+
+    sim.add_sink(sink)
+    sim.run()
+    assert by_reason, "expected at least one fast-forwarded span"
+    assert by_reason == {key: cycles
+                         for key, cycles in attr.ff_classes.items() if cycles}
