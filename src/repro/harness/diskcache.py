@@ -14,9 +14,15 @@ cycle count* changed, so the key hashes together:
 * :data:`repro.core.pipeline.ENGINE_VERSION` — bumped manually whenever
   a simulator change alters any cycle count; stale entries are then
   ignored (never silently reused) and rewritten on the next run.
-* the workload's *program content* (disassembled text, initial data
-  image, and entry point), so editing a kernel invalidates its entries
-  without touching anything else;
+* what determines the *program*, rather than the program itself: the
+  sha256 of the workload's MiniC source, the thread count, the
+  alignment variant, and
+  :func:`~repro.harness.runner.toolchain_digest` — a digest, computed
+  once per process, of the ``*.py`` sources of ``repro.lang``,
+  ``repro.asm`` and ``repro.isa``. Editing a kernel invalidates exactly
+  its entries, editing the toolchain invalidates all of them, and a
+  hit compiles nothing (the payload carries the ``program_hash`` the
+  ledger record needs);
 * the full architectural configuration via the runner's
   ``_config_key`` (which deliberately excludes ``fast_forward`` — both
   modes are bit-identical by construction — ``max_cycles``, and

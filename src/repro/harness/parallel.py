@@ -81,7 +81,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.config import MachineConfig
 from repro.core.pipeline import DeadlockError
-from repro.harness.runner import Runner, program_hash
+from repro.harness.runner import Runner, decoded_program
 
 #: Environment variable pinning the worker-pool size (clamped to >= 1).
 ENV_WORKERS = "REPRO_WORKERS"
@@ -215,9 +215,10 @@ class _InterruptGuard:
         self._previous = {}
 
 
-def _job_key(workload, config, aligned, program, instrument=False):
+def _job_key(workload, config, aligned, instrument=False):
     return Runner._disk_key(
-        Runner._mem_key(workload, aligned, config, instrument), program)
+        Runner._mem_key(workload, aligned, config, instrument),
+        workload, config.nthreads, aligned)
 
 
 def _run_job(job):
@@ -665,7 +666,7 @@ class _GridExecutor:
 
 
 def _ledger_append(ledger, resolved, results, cached_indices, timestamp,
-                   aligned, sweep_id=None, request_ids=None):
+                   sweep_id=None, request_ids=None):
     """Append one ledger record per successful grid result.
 
     Records are sorted by ``(workload, config_fingerprint)`` — not by
@@ -685,11 +686,10 @@ def _ledger_append(ledger, resolved, results, cached_indices, timestamp,
             continue
         workload, config = resolved[index]
         fingerprint = ledger_mod.config_fingerprint(config)
-        program = workload.program(config.nthreads, aligned=aligned)
         record = ledger_mod.make_record(
             source="run_grid", workload=workload.name, config=config,
             stats=result.stats, timestamp=timestamp,
-            program_hash=program_hash(program), checksum=result.checksum,
+            program_hash=result.program_hash, checksum=result.checksum,
             verified=result.verified, wall_seconds=result.wall_seconds,
             cached=index in cached_indices,
             sweep_id=sweep_id,
@@ -842,8 +842,7 @@ def run_grid(jobs, workers=None, verify=True, disk_cache=None,
         if telemetry is not None:
             telemetry.job_queued(index, workload.name)
         if disk_cache is not None:
-            program = workload.program(config.nthreads, aligned=aligned)
-            key = _job_key(workload, config, aligned, program, instrument)
+            key = _job_key(workload, config, aligned, instrument)
             payload = disk_cache.get(key)
             if payload is not None:
                 results[index] = rebuilder._from_payload(
@@ -852,12 +851,15 @@ def run_grid(jobs, workers=None, verify=True, disk_cache=None,
                 if telemetry is not None:
                     telemetry.cache_hit(index, workload.name)
                 continue
+        # Only a miss compiles, and it does so here, in the parent: an
+        # uncompilable point raises before any worker starts, and
+        # fork-started workers inherit the decoded program.
+        decoded_program(workload, config.nthreads, aligned=aligned)
         pending.append(_Job(index, key, workload.name, config.to_spec()))
     if not pending:
         if ledger is not None:
             _ledger_append(ledger, resolved, results, cached_indices,
-                           ledger_timestamp, aligned, sweep_id,
-                           request_ids)
+                           ledger_timestamp, sweep_id, request_ids)
         if telemetry is not None:
             telemetry.sweep_end(cache=(disk_cache.counters()
                                        if disk_cache is not None else None))
@@ -880,8 +882,7 @@ def run_grid(jobs, workers=None, verify=True, disk_cache=None,
             interrupt.restore()
     if ledger is not None:
         _ledger_append(ledger, resolved, results, cached_indices,
-                       ledger_timestamp, aligned, sweep_id,
-                       request_ids)
+                       ledger_timestamp, sweep_id, request_ids)
     if telemetry is not None:
         telemetry.sweep_end(cache=(disk_cache.counters()
                                    if disk_cache is not None else None))

@@ -10,7 +10,9 @@ The runner caches at two levels:
   instead of re-simulating.
 """
 
+import functools
 import hashlib
+import pathlib
 import time
 
 from repro.core import MachineConfig, PipelineSim
@@ -29,20 +31,23 @@ class RunResult:
     """
 
     __slots__ = ("workload", "nthreads", "stats", "checksum", "verified",
-                 "wall_seconds")
+                 "wall_seconds", "program_hash")
 
     #: Discriminator mirrored by ``JobFailure.ok = False``: grid callers
     #: can filter mixed result lists with ``r.ok`` instead of isinstance.
     ok = True
 
     def __init__(self, workload, nthreads, stats, checksum, verified,
-                 wall_seconds=None):
+                 wall_seconds=None, program_hash=None):
         self.workload = workload
         self.nthreads = nthreads
         self.stats = stats
         self.checksum = checksum
         self.verified = verified
         self.wall_seconds = wall_seconds
+        #: :func:`program_hash` of the program that ran; carried in the
+        #: cache payload so a replay's ledger record needs no compile.
+        self.program_hash = program_hash
 
     @property
     def cycles(self):
@@ -77,9 +82,9 @@ def program_hash(program):
     """Content digest of an assembled program.
 
     Hashes the disassembled text, the initial data image, and the entry
-    point — everything that determines the simulation outcome. Editing a
-    workload kernel therefore invalidates exactly its disk-cache
-    entries.
+    point — everything that determines the simulation outcome. Every
+    result and ledger record carries it, naming the exact program that
+    ran; the disk cache keys on its inputs instead (``Runner._disk_key``).
     """
     digest = hashlib.sha256()
     for instr in program.instructions:
@@ -87,6 +92,30 @@ def program_hash(program):
         digest.update(b"\n")
     digest.update(repr(program.data).encode())
     digest.update(str(program.entry).encode())
+    return digest.hexdigest()
+
+
+#: Packages whose sources determine what :func:`repro.lang.compile_source`
+#: emits: exactly the ``repro`` subpackages that importing the compiler
+#: loads (``tests/test_harness.py`` pins that set).
+TOOLCHAIN_PACKAGES = ("lang", "asm", "isa")
+
+
+@functools.cache
+def toolchain_digest():
+    """Digest of the toolchain's ``*.py`` sources, computed once per process.
+
+    Part of every disk-cache key in place of the compiled program: a
+    cache hit then needs no compile, and any edit to the compiler,
+    assembler or instruction set still invalidates every entry without
+    a hand-bumped version constant.
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for package in TOOLCHAIN_PACKAGES:
+        for path in sorted((root / package).glob("*.py")):
+            digest.update(f"{package}/{path.name}\n".encode())
+            digest.update(path.read_bytes())
     return digest.hexdigest()
 
 
@@ -141,8 +170,9 @@ class Runner:
         ``None`` (default) for in-memory memoization only; a
         :class:`~repro.harness.diskcache.DiskResultCache` instance; or a
         path-like, which constructs one. Entries are keyed on the
-        engine version, the program content, and the full configuration
-        (see :mod:`repro.harness.diskcache`).
+        engine version, the workload source and toolchain, and the full
+        configuration (see :mod:`repro.harness.diskcache`); a hit
+        compiles nothing.
     instrument:
         Attach stall attribution and interval metrics to every run, so
         results carry ``stats.stall_breakdown`` and
@@ -155,7 +185,8 @@ class Runner:
     #: :class:`DiskResultCache` as its validation schema so a corrupted
     #: or hand-edited entry is dropped (a miss) instead of crashing
     #: :meth:`_from_payload`.
-    RESULT_SCHEMA = ("nthreads", "stats", "checksum", "verified")
+    RESULT_SCHEMA = ("nthreads", "stats", "checksum", "verified",
+                     "program_hash")
 
     def __init__(self, verify=True, quiet=True, disk_cache=None,
                  instrument=False):
@@ -185,16 +216,16 @@ class Runner:
         if key in self._cache:
             return self._cache[key]
         nthreads = config.nthreads
-        program, phash = decoded_program(workload, nthreads, aligned=aligned)
         disk = self.disk_cache
         disk_key = None
         if disk is not None:
-            disk_key = self._disk_key(key, program, phash)
+            disk_key = self._disk_key(key, workload, nthreads, aligned)
             payload = disk.get(disk_key)
             if payload is not None:
                 result = self._from_payload(workload, config, payload)
                 self._cache[key] = result
                 return result
+        program, phash = decoded_program(workload, nthreads, aligned=aligned)
         sim = PipelineSim(program, config)
         if self.instrument:
             attr = sim.attach_attribution()
@@ -211,7 +242,7 @@ class Runner:
                 f"{workload.name} with {nthreads} threads computed "
                 f"{checksum!r}, expected {workload.expected(nthreads)!r}")
         result = RunResult(workload, nthreads, stats, checksum, verified,
-                           wall_seconds)
+                           wall_seconds, phash)
         self._cache[key] = result
         if disk is not None:
             disk.put(disk_key, self._to_payload(result))
@@ -230,10 +261,13 @@ class Runner:
         return (workload.name, aligned, _config_key(config))
 
     @staticmethod
-    def _disk_key(key, program, phash=None):
+    def _disk_key(key, workload, nthreads, aligned):
+        # Keyed on what determines the program, not on the program, so
+        # a hit compiles nothing.
         from repro.harness.diskcache import hash_key
+        source = hashlib.sha256(workload.source.encode()).hexdigest()
         return hash_key(ENGINE_VERSION, key,
-                        phash if phash is not None else program_hash(program))
+                        (source, nthreads, bool(aligned), toolchain_digest()))
 
     @staticmethod
     def _to_payload(result):
@@ -243,6 +277,7 @@ class Runner:
             "checksum": result.checksum,
             "verified": result.verified,
             "wall_seconds": result.wall_seconds,
+            "program_hash": result.program_hash,
         }
 
     def _from_payload(self, workload, config, payload):
@@ -254,4 +289,5 @@ class Runner:
                 f"mismatch ({payload['checksum']!r})")
         return RunResult(workload, payload["nthreads"], stats,
                          payload["checksum"], verified,
-                         payload.get("wall_seconds"))
+                         payload.get("wall_seconds"),
+                         payload["program_hash"])

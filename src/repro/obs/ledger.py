@@ -34,6 +34,12 @@ Appends take an advisory ``flock`` on the ledger file where the
 platform provides one, so concurrent writers interleave whole lines,
 never bytes. Reading skips malformed or schema-violating lines with a
 warning — one rotted line never poisons the rest of the history.
+
+Every read goes through one reader that walks the file backwards in
+blocks, newest record first, and stops as soon as its caller has what
+it asked for: ``repro report`` reads only as far back as the oldest of
+its grid's latest records, and ``repro diff last`` only the tail, so
+neither slows down as the history grows.
 """
 
 import hashlib
@@ -61,6 +67,9 @@ _DEFAULT_PATH = "~/.cache/repro-sdsp/ledger.jsonl"
 
 #: Record layout version, stored in every record's ``schema`` field.
 SCHEMA_VERSION = 1
+
+#: Bytes per backwards read of the ledger reader.
+BLOCK_SIZE = 1 << 16
 
 #: Fields every ledger record must carry; lines missing one are
 #: skipped on read (with a warning), and :meth:`RunLedger.append`
@@ -219,6 +228,41 @@ def make_record(*, source, workload, config, stats, timestamp,
     return record
 
 
+def _lines_newest_first(handle):
+    """Raw lines of a binary file, last line first, read in blocks
+    from the end; a final line without its newline comes out first."""
+    pos = handle.seek(0, os.SEEK_END)
+    partial = b""
+    while pos > 0:
+        step = min(BLOCK_SIZE, pos)
+        pos -= step
+        handle.seek(pos)
+        lines = (handle.read(step) + partial).split(b"\n")
+        partial = lines[0]  # its start may lie in the block before
+        yield from reversed(lines[1:])
+    yield partial
+
+
+def _parse(line):
+    """The record on one raw line, or ``None`` when the line is rotted."""
+    try:
+        record = json.loads(line.decode())
+    except ValueError:
+        return None
+    if not isinstance(record, dict) or any(
+            field not in record for field in REQUIRED_FIELDS):
+        return None
+    # Older records name the engine that ran them ("scalar", "batch" or
+    # "spec"); the one engine today is the scalar interpreter, and
+    # records it writes carry no such field.
+    record.setdefault("backend", "scalar")
+    # Pre-telemetry records belong to no sweep.
+    record.setdefault("sweep_id", None)
+    # Pre-service records were never commissioned over HTTP.
+    record.setdefault("request_id", None)
+    return record
+
+
 class RunLedger:
     """Append-only JSONL file of simulation-run records.
 
@@ -231,7 +275,7 @@ class RunLedger:
 
     def __init__(self, path=None):
         self.path = pathlib.Path(path) if path is not None else default_path()
-        #: Malformed lines skipped by the last :meth:`records` call.
+        #: Malformed lines skipped by the last read.
         self.skipped = 0
 
     # ----------------------------------------------------------- writing
@@ -272,43 +316,42 @@ class RunLedger:
 
     # ----------------------------------------------------------- reading
 
+    def _newest_first(self, sweep=None):
+        """Valid records, newest first (of ``sweep`` only, if given).
+
+        The one reader every query goes through. It reads backwards
+        and only as far as its caller iterates; rotted lines among
+        those read are counted in :attr:`skipped` for
+        :meth:`_warn_skipped`. A missing file reads as empty.
+        """
+        self.skipped = 0
+        try:
+            handle = open(self.path, "rb")
+        except OSError:
+            return
+        with handle:
+            for line in _lines_newest_first(handle):
+                line = line.strip()
+                if not line:
+                    continue
+                record = _parse(line)
+                if record is None:
+                    self.skipped += 1
+                elif sweep is None or record["sweep_id"] == sweep:
+                    yield record
+
+    def _warn_skipped(self):
+        if self.skipped:
+            warnings.warn(
+                f"skipped {self.skipped} malformed ledger line"
+                f"{'' if self.skipped == 1 else 's'} in {self.path}",
+                LedgerWarning, stacklevel=3)
+
     def records(self):
         """Every valid record, oldest first; skips rotted lines."""
-        try:
-            text = self.path.read_text()
-        except OSError:
-            self.skipped = 0
-            return []
-        out = []
-        skipped = 0
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if not isinstance(record, dict) or any(
-                    field not in record for field in REQUIRED_FIELDS):
-                skipped += 1
-                continue
-            # Older records name the engine that ran them ("scalar",
-            # "batch" or "spec"); the one engine today is the scalar
-            # interpreter, and records it writes carry no such field.
-            record.setdefault("backend", "scalar")
-            # Pre-telemetry records belong to no sweep.
-            record.setdefault("sweep_id", None)
-            # Pre-service records were never commissioned over HTTP.
-            record.setdefault("request_id", None)
-            out.append(record)
-        self.skipped = skipped
-        if skipped:
-            warnings.warn(
-                f"skipped {skipped} malformed ledger line"
-                f"{'' if skipped == 1 else 's'} in {self.path}",
-                LedgerWarning, stacklevel=2)
+        out = list(self._newest_first())
+        self._warn_skipped()
+        out.reverse()
         return out
 
     def __len__(self):
@@ -319,56 +362,73 @@ class RunLedger:
 
         ``sweep`` restricts the search to records stamped with that
         ``sweep_id`` (so ``last`` means "last record of that sweep").
+        ``last~N`` reads only back to the N+1-th newest record; a
+        prefix reads every record, since ambiguity needs them all.
 
         Raises :class:`LedgerError` when the ledger is empty, the token
         matches nothing, or a prefix is ambiguous across distinct runs.
         """
-        records = self.records()
-        if sweep is not None:
-            records = [r for r in records if r.get("sweep_id") == sweep]
-            if not records:
-                raise LedgerError(
-                    f"ledger {self.path} has no records for sweep "
-                    f"{sweep!r}")
-        if not records:
-            raise LedgerError(f"ledger {self.path} has no records")
+        back = None
         if token == "last":
-            return records[-1]
-        if token.startswith("last~"):
+            back = 0
+        elif token.startswith("last~"):
             try:
                 back = int(token[len("last~"):])
             except ValueError:
                 raise LedgerError(f"bad run reference {token!r}") from None
-            if back < 0 or back >= len(records):
+        newest = []
+        for record in self._newest_first(sweep):
+            newest.append(record)
+            if back is not None and 0 <= back < len(newest):
+                break
+        self._warn_skipped()
+        if not newest:
+            if sweep is not None:
+                raise LedgerError(
+                    f"ledger {self.path} has no records for sweep "
+                    f"{sweep!r}")
+            raise LedgerError(f"ledger {self.path} has no records")
+        if back is not None:
+            if back < 0 or back >= len(newest):
                 raise LedgerError(
                     f"{token!r} is out of range: ledger has "
-                    f"{len(records)} record(s)")
-            return records[-1 - back]
-        matches = [r for r in records if r["run_id"].startswith(token)]
+                    f"{len(newest)} record(s)")
+            return newest[back]
+        matches = [r for r in newest if r["run_id"].startswith(token)]
         if not matches:
             raise LedgerError(
                 f"no ledger record matches run id {token!r} "
-                f"({len(records)} record(s) in {self.path})")
+                f"({len(newest)} record(s) in {self.path})")
         distinct = {r["run_id"] for r in matches}
         if len(distinct) > 1:
             sample = ", ".join(sorted(distinct)[:4])
             raise LedgerError(
                 f"run id prefix {token!r} is ambiguous: {sample}")
-        return matches[-1]
+        return matches[0]
 
-    def latest_by_key(self, sweep=None):
+    def latest_by_key(self, sweep=None, keys=None):
         """Newest record per ``(workload, config_fingerprint)`` pair.
 
         The selection ``repro report`` renders from: re-running an
         experiment appends fresh records, and the report always reflects
         the latest measurement of each grid point. ``sweep`` restricts
         the selection to records stamped with that ``sweep_id``.
+        ``keys`` restricts it to those pairs, and the read stops as soon
+        as each has been found, so its cost follows the keys, not the
+        length of the history; ``None`` reads the whole file.
         """
+        wanted = None if keys is None else set(keys)
         latest = {}
-        for record in self.records():
-            if sweep is not None and record.get("sweep_id") != sweep:
+        if wanted == set():
+            return latest
+        for record in self._newest_first(sweep):
+            key = (record["workload"], record["config_fingerprint"])
+            if key in latest or (wanted is not None and key not in wanted):
                 continue
-            latest[(record["workload"], record["config_fingerprint"])] = record
+            latest[key] = record
+            if wanted is not None and len(latest) == len(wanted):
+                break
+        self._warn_skipped()
         return latest
 
     def __repr__(self):

@@ -226,8 +226,9 @@ def run_report(name, *, ledger, workloads=None, threads=None, workers=None,
     so every point lands in the durable record first; the table is then
     built from :meth:`RunLedger.latest_by_key` — *not* from the
     in-memory results — which is the property the regression acceptance
-    test pins. Returns the rendered text; writes ``csv_path`` when
-    given.
+    test pins. Only the grid's keys are looked up, so the ledger is read
+    back only as far as the oldest of their latest records. Returns the
+    rendered text; writes ``csv_path`` when given.
 
     ``sweep`` renders the table from the ledger records of an already
     *finished* sweep (no simulation happens); ``telemetry``, ``progress``
@@ -259,10 +260,11 @@ def run_report(name, *, ledger, workloads=None, threads=None, workers=None,
                      telemetry=telemetry, progress=progress,
                      sweep_id=sweep_id)
 
-    latest = ledger.latest_by_key(sweep=sweep)
+    keys = [(wname, ledger_mod.config_fingerprint(config))
+            for wname, config, _ in jobs]
+    latest = ledger.latest_by_key(sweep=sweep, keys=keys)
     wanted = {}
-    for wname, config, label in jobs:
-        key = (wname, ledger_mod.config_fingerprint(config))
+    for key, (wname, _, label) in zip(keys, jobs):
         record = latest.get(key)
         if record is None:
             scope = (f" in sweep {sweep!r}" if sweep is not None else

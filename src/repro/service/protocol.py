@@ -19,12 +19,16 @@ never simulate the wrong machine.
 
 The **job id** is the content-addressed identity
 ``hash(ENGINE_VERSION, (workload, aligned[, instrumented], config key),
-program hash)`` — byte-for-byte the disk result cache's key
+(sha256(workload source), nthreads, aligned, toolchain digest))`` —
+byte-for-byte the disk result cache's key
 (:func:`repro.harness.parallel._job_key`). That single identity drives
 both layers of dedup: the registry coalesces concurrent identical
 submissions onto one in-flight job, and the cache answers repeats of
 finished ones, and the two can never disagree about what "identical"
 means. Resubmitting a payload is therefore idempotent by construction.
+The id needs no compiled program, but submission still compiles the
+point once, so one that does not compile is refused with a 400 instead
+of failing later in a worker.
 
 ``chaos`` maps a :class:`repro.faults.FaultPlan` rule name (``crash``,
 ``hang``, ``fail``) to its keyword arguments and fires inside the
@@ -184,10 +188,10 @@ def parse_job_request(payload, allow_chaos=False):
         chaos = _check_chaos(chaos, allow_chaos)
 
     try:
-        program = workload.program(config.nthreads, aligned=aligned)
+        workload.program(config.nthreads, aligned=aligned)
     except (CompileError, AsmError) as error:
         raise ProtocolError(str(error)) from error
-    job_id = _job_key(workload, config, aligned, program, instrument)
+    job_id = _job_key(workload, config, aligned, instrument)
     return JobRequest(workload.name, config, aligned, instrument,
                       sweep_id, client, chaos, job_id,
                       request_id=request_id)

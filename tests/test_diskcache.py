@@ -249,6 +249,57 @@ def test_runner_disk_cache_skips_simulation(tmp_path, monkeypatch):
     assert replayed.stats.to_dict() == baseline.stats.to_dict()
 
 
+def test_warm_grid_compiles_nothing(tmp_path, monkeypatch):
+    import repro.harness.runner as runner_mod
+    from repro.harness.parallel import run_grid
+    from repro.obs.ledger import RunLedger
+
+    def compile_source(*args, **kwargs):
+        raise AssertionError("compiled on a cache hit")
+
+    jobs = [("LL2", MachineConfig(nthreads=1)),
+            ("LL2", MachineConfig(nthreads=2)),
+            ("LL5", MachineConfig(nthreads=1))]
+    cache = tmp_path / "cache.json"
+    cold_ledger = RunLedger(tmp_path / "cold.jsonl")
+    cold = run_grid(jobs, workers=1, disk_cache=cache, ledger=cold_ledger)
+
+    # Forget every compiled program and make compiling raise.
+    monkeypatch.setattr("repro.workloads.base.compile_source",
+                        compile_source)
+    monkeypatch.setattr(runner_mod, "_DECODE_CACHE", {})
+    for name in ("LL2", "LL5"):
+        monkeypatch.setattr(by_name(name), "_programs", {})
+    warm_ledger = RunLedger(tmp_path / "warm.jsonl")
+    warm = run_grid(jobs, workers=1, disk_cache=cache, ledger=warm_ledger)
+    assert [r.cycles for r in warm] == [r.cycles for r in cold]
+    replayed = Runner(disk_cache=cache).run(by_name("LL2"), jobs[1][1])
+    assert replayed.program_hash == cold[1].program_hash
+
+    hashes = [r["program_hash"] for r in cold_ledger.records()]
+    assert all(hashes) and len(set(hashes)) == 3
+    assert [r["program_hash"] for r in warm_ledger.records()] == hashes
+    assert all(r["cached"] for r in warm_ledger.records())
+
+
+def test_cache_key_tracks_source_and_toolchain(monkeypatch):
+    import repro.harness.runner as runner_mod
+    from repro.harness.parallel import _job_key
+    from repro.workloads.base import Workload
+
+    workload = by_name("LL2")
+    config = MachineConfig(nthreads=2)
+    key = _job_key(workload, config, False)
+    assert key == _job_key(workload, config, False)
+    assert key != _job_key(workload, config, True)
+    assert key != _job_key(workload, config.replace(nthreads=1), False)
+    edited = Workload(workload.name, workload.group,
+                      workload.source + "\n// edited\n", workload.mirror)
+    assert key != _job_key(edited, config, False)
+    monkeypatch.setattr(runner_mod, "toolchain_digest", lambda: "0" * 64)
+    assert key != _job_key(workload, config, False)
+
+
 def test_config_key_covers_mem_words():
     base = MachineConfig()
     assert _config_key(base) != _config_key(base.replace(mem_words=1 << 16))

@@ -154,6 +154,30 @@ def test_decoded_program_is_cached_and_prebuilt():
                for instr in program_a.instructions)
 
 
+def test_compiler_imports_only_the_toolchain_packages():
+    # The cache key's toolchain digest covers exactly these packages;
+    # a compiler that imported anything else would escape it.
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    from repro.harness.runner import TOOLCHAIN_PACKAGES
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = ("import json, sys, repro.lang.compiler; print(json.dumps("
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    loaded = json.loads(out)
+    assert "repro.lang.compiler" in loaded
+    outside = [name for name in loaded if name != "repro"
+               and name.split(".")[1] not in TOOLCHAIN_PACKAGES]
+    assert outside == []
+
+
 def test_format_table_alignment():
     text = format_table("Title", ["a", "bench"], [[1, "x"], [22, "yy"]])
     assert "Title" in text

@@ -1,15 +1,17 @@
 """Run ledger: schema round-trip, resolution, run_grid integration."""
 
 import json
+import random
+import warnings
 
 import pytest
 
 from repro.core.config import MachineConfig
 from repro.harness.parallel import run_grid
 from repro.harness.runner import Runner
-from repro.obs.ledger import (LedgerError, LedgerWarning, RunLedger,
-                              config_fingerprint, fingerprint, git_sha,
-                              make_record)
+from repro.obs.ledger import (REQUIRED_FIELDS, LedgerError, LedgerWarning,
+                              RunLedger, config_fingerprint, fingerprint,
+                              git_sha, make_record)
 from repro.workloads import by_name
 
 T0 = "2026-01-01T00:00:00+00:00"
@@ -159,6 +161,115 @@ def test_latest_by_key_keeps_newest(tmp_path):
     by_threads = {rec["nthreads"]: rec["stats"]["cycles"]
                   for rec in latest.values()}
     assert by_threads == {1: 2, 2: 3}
+
+
+# ------------------------------------------------------ newest-first reads
+
+def _raw_record(rng, serial):
+    """A schema-complete record with a random key, sweep stamp or none."""
+    record = {"schema": 1, "run_id": f"r{serial:05d}", "timestamp": T0,
+              "source": "test", "workload": rng.choice(["LL2", "LL5", "Mx"]),
+              "engine_version": 4, "config": {},
+              "config_fingerprint": rng.choice(["c0", "c1", "c2"]),
+              "stats": {"cycles": serial},
+              # Long lines so a record spans several small blocks.
+              "pad": "x" * rng.randrange(0, 90)}
+    if rng.random() < 0.6:
+        record["sweep_id"] = rng.choice(["sa", "sb", None])
+    return record
+
+
+def _random_ledger(rng, path):
+    """Random valid records mixed with blank and malformed lines; the
+    last line is sometimes torn (no newline, truncated)."""
+    lines = []
+    for serial in range(rng.randrange(0, 40)):
+        if rng.random() < 0.15:
+            lines.append(rng.choice(["{torn", "[1, 2]", "", "   ",
+                                     '{"schema": 1}', "\u00e9 not json"]))
+        else:
+            lines.append(json.dumps(_raw_record(rng, serial)))
+    text = "".join(line + "\n" for line in lines)
+    if rng.random() < 0.4:
+        torn = json.dumps(_raw_record(rng, 99))
+        text += torn[:rng.randrange(1, len(torn))]
+    path.write_text(text, encoding="utf-8")
+
+
+def _full_scan(path):
+    """Reference reader: every valid record, oldest first."""
+    records = []
+    for line in path.read_text(encoding="utf-8").split("\n"):
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(record, dict) and all(
+                field in record for field in REQUIRED_FIELDS):
+            records.append(record)
+    return records
+
+
+def test_latest_by_key_matches_full_scan_on_random_ledgers(tmp_path,
+                                                           monkeypatch):
+    from repro.obs import ledger as ledger_mod
+
+    rng = random.Random(16)
+    path = tmp_path / "ledger.jsonl"
+    all_keys = [(w, c) for w in ("LL2", "LL5", "Mx", "Absent")
+                for c in ("c0", "c1", "c2")]
+    for trial in range(300):
+        monkeypatch.setattr(ledger_mod, "BLOCK_SIZE",
+                            rng.choice([1, 7, 64, 300, 1 << 16]))
+        _random_ledger(rng, path)
+        sweep = rng.choice([None, None, "sa", "sb"])
+        keys = (None if rng.random() < 0.2
+                else set(rng.sample(all_keys, rng.randrange(0, 6))))
+        expected = {}
+        for record in _full_scan(path):
+            key = (record["workload"], record["config_fingerprint"])
+            if (sweep is None or record.get("sweep_id") == sweep) \
+                    and (keys is None or key in keys):
+                expected[key] = record["run_id"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LedgerWarning)
+            got = RunLedger(path).latest_by_key(sweep=sweep, keys=keys)
+            records = RunLedger(path).records()
+        assert {key: r["run_id"] for key, r in got.items()} == expected, \
+            trial
+        assert [r["run_id"] for r in records] \
+            == [r["run_id"] for r in _full_scan(path)], trial
+
+
+def test_keyed_read_never_parses_the_corrupt_prefix(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    path.write_text("{rotted\n" * 10_000)
+    ledger = RunLedger(path)
+    ledger.append(_record(cycles=1))
+    ledger.append(_record(nthreads=2, cycles=2))
+    keys = [(r["workload"], r["config_fingerprint"])
+            for r in (_record(), _record(nthreads=2))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LedgerWarning)
+        latest = ledger.latest_by_key(keys=keys)
+        assert ledger.resolve("last~1")["stats"]["cycles"] == 1
+    assert sorted(r["stats"]["cycles"] for r in latest.values()) == [1, 2]
+    assert ledger.skipped == 0
+    # A full read does reach the prefix, and says so.
+    with pytest.warns(LedgerWarning, match="skipped 10000"):
+        ledger.latest_by_key()
+
+
+def test_torn_last_line_is_skipped_with_warning(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    ledger = RunLedger(path)
+    ledger.append(_record(cycles=1))
+    with open(path, "a") as handle:
+        handle.write(json.dumps(_record(cycles=2))[:40])  # writer died
+    key = (_record()["workload"], _record()["config_fingerprint"])
+    with pytest.warns(LedgerWarning, match="skipped 1 "):
+        latest = ledger.latest_by_key(keys=[key])
+    assert latest[key]["stats"]["cycles"] == 1
 
 
 # ----------------------------------------------------- run_grid integration

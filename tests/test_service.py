@@ -114,8 +114,7 @@ def test_job_id_is_content_addressed_cache_key():
     from repro.workloads import by_name
 
     workload = by_name("LL11")
-    program = workload.program(one.config.nthreads, aligned=False)
-    assert one.job_id == _job_key(workload, one.config, False, program)
+    assert one.job_id == _job_key(workload, one.config, False, False)
 
 
 # ------------------------------------------------------ admission control
