@@ -25,11 +25,11 @@ Commands
 ``diff RUNA RUNB``
     Compare two ledger records (``last``, ``last~N``, or a run-id
     prefix): per-counter deltas plus the attribution waterfall.
-``check --baseline BENCH_engine.json``
-    Regression sentry: re-measure the fixed profiling matrix and fail
-    unless simulated cycle counts are bit-identical to the baseline and
-    throughput is within the tolerance band (``--advisory-throughput``
-    demotes throughput failures to warnings for noisy shared runners).
+``check --baseline tests/data/golden_cycles.json``
+    Engine gate: run every fixture case and fail unless its simulated
+    counts and checksum are bit-identical to the pins and its profiled
+    calls are at most 30% above the pinned count (``--update``
+    re-pins).
 ``report --experiment {threads,fetch,su,cache}``
     Re-run one paper experiment grid through the ledger and render the
     corresponding EXPERIMENTS.md table from ledger data (``--csv`` for
@@ -436,64 +436,68 @@ def cmd_check(args):
     from repro.obs import ledger as ledger_mod
 
     try:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
+        version, cases = sentry.load_fixture(args.baseline)
     except (OSError, ValueError) as error:
         raise CliError(
             f"cannot read baseline {args.baseline!r}: {error}") from error
-    matrix = sentry.MATRIX
-    want_sweep = False
     if args.entry:
-        wanted = set(args.entry)
-        # The sweep label is not a matrix entry: it pins the aggregate
-        # of the run_grid sweep measurement.
-        want_sweep = sentry.SWEEP_LABEL in wanted
-        wanted.discard(sentry.SWEEP_LABEL)
-        known = {label for label, _, _ in sentry.MATRIX}
-        unknown = sorted(wanted - known)
+        unknown = sorted(set(args.entry) - set(cases))
         if unknown:
-            valid = sorted(known) + [sentry.SWEEP_LABEL]
-            raise CliError(f"unknown matrix entr"
-                           f"{'y' if len(unknown) == 1 else 'ies'} "
+            raise CliError(f"unknown fixture case"
+                           f"{'' if len(unknown) == 1 else 's'} "
                            f"{', '.join(unknown)}; valid: "
-                           f"{', '.join(valid)}")
-        matrix = [m for m in sentry.MATRIX if m[0] in wanted]
-    tolerance = (args.tolerance if args.tolerance is not None
-                 else sentry.DEFAULT_TOLERANCE)
-    measured = sentry.measure(args.reps, matrix=matrix) if matrix else {}
-    sweep_measured = {}
-    if want_sweep:
-        sweep_measured = {sentry.SWEEP_LABEL: sentry.measure_sweep(args.reps)}
-    cycle_failures, perf_failures = sentry.check_baseline(
-        {**measured, **sweep_measured}, baseline, tolerance=tolerance)
-    if not args.no_ledger and measured:
+                           f"{', '.join(sorted(cases))}")
+        cases = {label: case for label, case in cases.items()
+                 if label in args.entry}
+        if args.update and version != sentry.ENGINE_VERSION:
+            raise CliError("ENGINE_VERSION changed: re-pin every case "
+                           "(drop --entry)")
+    measured = {}
+    records = []
+    failures = []
+    for label, case in cases.items():
+        # The plain run checks the exact fields, lands in the ledger,
+        # and warms the program for the profiled run.
+        sim = sentry.build(case)
+        start = time.perf_counter()
+        stats = sim.run()
+        wall = time.perf_counter() - start
+        values = sentry.outcome(case, sim, stats)
+        values["calls"] = sentry.count_calls(case)
+        measured[label] = values
+        failures += sentry.compare(case, values)
+        records.append(ledger_mod.make_record(
+            source="cli.check", workload=case.workload.name,
+            config=case.config, stats=stats,
+            timestamp=ledger_mod.utc_now_iso(), checksum=values["checksum"],
+            wall_seconds=wall, sweep_id=args.sweep_id))
+        pinned = case.pins["calls"]
+        print(f"{label:28s} {stats.cycles:>7,d} cycles "
+              f"{values['calls'] / stats.cycles:6.2f} calls/cycle "
+              f"({values['calls'] / pinned - 1:+.1%} vs pin)")
+    if not args.no_ledger:
         try:
-            ledger_mod.RunLedger(args.ledger).append_all(
-                sentry.ledger_records(
-                    measured, source="cli.check",
-                    timestamp=ledger_mod.utc_now_iso(), matrix=matrix,
-                    sweep_id=getattr(args, "sweep_id", None)))
+            ledger_mod.RunLedger(args.ledger).append_all(records)
         except OSError as error:
             print(f"repro: warning: could not append to run ledger: "
                   f"{error}", file=sys.stderr)
-    for failure in cycle_failures:
-        print(f"CYCLES: {failure}", file=sys.stderr)
-    for failure in perf_failures:
-        tag = ("THROUGHPUT (advisory)" if args.advisory_throughput
-               else "THROUGHPUT")
-        print(f"{tag}: {failure}", file=sys.stderr)
-    fatal = bool(cycle_failures) or (
-        bool(perf_failures) and not args.advisory_throughput)
-    if fatal:
-        print(f"repro check FAILED: {len(cycle_failures)} cycle-count "
-              f"mismatch(es), {len(perf_failures)} throughput "
-              f"regression(s)", file=sys.stderr)
+    if args.update:
+        refused = sentry.repin(args.baseline, measured, version)
+        for message in refused:
+            print(f"REFUSED: {message}", file=sys.stderr)
+        if refused:
+            return 1
+        print(f"re-pinned {len(measured)} case(s) in {args.baseline}")
+        return 0
+    for failure in failures:
+        print(f"FAILED: {failure}", file=sys.stderr)
+    if failures:
+        print(f"repro check FAILED: {len(failures)} mismatch(es)",
+              file=sys.stderr)
         return 1
-    note = (f", {len(perf_failures)} advisory throughput warning(s)"
-            if perf_failures else "")
-    checked = len(measured) + len(sweep_measured)
-    print(f"repro check ok: {checked} entries, simulated "
-          f"cycle counts bit-identical to {args.baseline}{note}")
+    print(f"repro check ok: {len(measured)} cases bit-identical to "
+          f"{args.baseline}, calls within "
+          f"{sentry.CALLS_TOLERANCE:.0%} of their pins")
     return 0
 
 
@@ -812,24 +816,16 @@ def build_parser():
     p_diff.set_defaults(func=cmd_diff)
 
     p_check = sub.add_parser(
-        "check", help="regression sentry over the profiling matrix")
+        "check", help="engine gate over the golden-cycle fixture")
     p_check.add_argument("--baseline", required=True,
-                        help="committed baseline (BENCH_engine.json)")
-    p_check.add_argument("--reps", type=int, default=3,
-                         help="timed repetitions per entry, best-of "
-                              "(default 3)")
-    p_check.add_argument("--tolerance", type=float, default=None,
-                         help="allowed relative throughput drop "
-                              "(default 0.30)")
-    p_check.add_argument("--advisory-throughput", action="store_true",
-                         help="report throughput regressions as warnings "
-                              "only (shared/noisy runners); cycle-count "
-                              "mismatches stay fatal")
+                         help="engine fixture "
+                              "(tests/data/golden_cycles.json)")
     p_check.add_argument("--entry", action="append", metavar="LABEL",
-                         help="check only this matrix entry (repeatable); "
-                              "the sweep label runs the eight-config "
-                              "run_grid sweep and pins its aggregate "
-                              "throughput instead")
+                         help="check only this fixture case (repeatable)")
+    p_check.add_argument("--update", action="store_true",
+                         help="re-pin the checked cases' calls (and, "
+                              "after an ENGINE_VERSION bump, their "
+                              "cycle-derived fields) instead of failing")
     _ledger_args(p_check)
     p_check.set_defaults(func=cmd_check)
 

@@ -256,6 +256,22 @@ class MachineConfig:
             fields["icache"] = CacheConfig(**fields["icache"])
         return cls(**fields)
 
+    @classmethod
+    def from_partial_spec(cls, spec):
+        """A validated config from a partial :meth:`to_spec` dict.
+
+        ``spec`` is overlaid on the defaults' spec, so absent fields
+        keep their default values. Raises :class:`ValueError` naming
+        any field :meth:`to_spec` does not have, and
+        :class:`ValueError` or :class:`TypeError` for invalid values.
+        """
+        defaults = cls().to_spec()
+        unknown = sorted(set(spec) - set(defaults))
+        if unknown:
+            raise ValueError(f"unknown config field(s): {', '.join(unknown)} "
+                             f"(see MachineConfig.to_spec for the schema)")
+        return cls.from_spec({**defaults, **spec}).validate()
+
     def validate(self, program=None):
         """Reject nonsensical configurations with actionable errors.
 

@@ -31,6 +31,7 @@ from repro.faults.inject import (
     InjectedFault,
     InjectedHang,
     corrupt_file,
+    inflate_calls,
     perturb_cycles,
 )
 from repro.faults.service import ServiceFaultPlan
@@ -42,5 +43,6 @@ __all__ = [
     "InjectedHang",
     "ServiceFaultPlan",
     "corrupt_file",
+    "inflate_calls",
     "perturb_cycles",
 ]

@@ -190,28 +190,55 @@ def corrupt_file(path, mode="truncate", seed=0):
     return path
 
 
-def perturb_cycles(path, seed=0, section="cycles"):
-    """Deterministically corrupt one simulated cycle count in ``path``.
+def _pick_case(data, path, seed, salt):
+    """A seeded label of the engine fixture ``data`` read from ``path``."""
+    cases = data.get("cases") if isinstance(data, dict) else None
+    if not isinstance(cases, dict) or not cases:
+        raise ValueError(f"{path} has no 'cases' object to corrupt")
+    labels = sorted(cases)
+    return labels[int(_chance(seed, 0, 0, salt) * len(labels))]
 
-    ``path`` is a JSON document with a ``section`` object mapping
-    labels to integer cycle counts (``BENCH_engine.json``'s shape). One
-    label — chosen by a seeded hash — gets its count nudged by a
-    seeded, non-zero delta in ``[-8, +8]``, modelling a silent
-    timing-model drift that the regression sentry (``repro check``)
-    must catch via its bit-identical-cycles assertion. Returns
-    ``(label, old, new)``; same seed, same file → same corruption.
+
+def perturb_cycles(path, seed=0):
+    """Deterministically corrupt one pinned cycle count in ``path``.
+
+    ``path`` is an engine fixture (``tests/data/golden_cycles.json``'s
+    shape). One case — chosen by a seeded hash — gets its ``cycles``
+    nudged by a seeded, non-zero delta in ``[-8, +8]``, modelling a
+    silent timing-model drift that ``repro check`` must catch via its
+    bit-identical-cycles assertion. Returns ``(label, old, new)``; same
+    seed, same file → same corruption.
     """
     path = pathlib.Path(path)
     data = json.loads(path.read_text())
-    counts = data[section]
-    if not isinstance(counts, dict) or not counts:
-        raise ValueError(f"{path} has no {section!r} object to corrupt")
-    labels = sorted(counts)
-    label = labels[int(_chance(seed, 0, 0, "perturb-label") * len(labels))]
+    label = _pick_case(data, path, seed, "perturb-label")
     delta = 1 + int(_chance(seed, 0, 0, "perturb-delta") * 8)
     if _chance(seed, 0, 0, "perturb-sign") < 0.5:
         delta = -delta
-    old = counts[label]
-    counts[label] = old + delta
+    case = data["cases"][label]
+    old = case["cycles"]
+    case["cycles"] = old + delta
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return label, old, counts[label]
+    return label, old, case["cycles"]
+
+
+def inflate_calls(path, seed=0, factor=None):
+    """Make one case of the fixture ``path`` look ``factor``× costlier.
+
+    The case's pinned ``calls`` is divided by ``factor``, so the
+    engine's unchanged count reads as that many times the pin — an
+    injected cost regression. ``factor`` defaults to a seeded draw in
+    ``[1.35, 2)``, beyond ``repro check``'s 30% band; a ``factor``
+    below 1 models a cost drop instead, which must pass. Returns
+    ``(label, old, new)`` pins; same seed, same file → same change.
+    """
+    path = pathlib.Path(path)
+    data = json.loads(path.read_text())
+    label = _pick_case(data, path, seed, "inflate-label")
+    if factor is None:
+        factor = 1.35 + 0.65 * _chance(seed, 0, 0, "inflate-factor")
+    case = data["cases"][label]
+    old = case["calls"]
+    case["calls"] = int(old / factor)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return label, old, case["calls"]

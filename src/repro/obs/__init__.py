@@ -7,7 +7,7 @@ the pipeline can import them without cycles; the heavier pieces live in
 :mod:`repro.obs.metrics`, :mod:`repro.obs.export`,
 :mod:`repro.obs.ledger` (append-only JSONL run ledger),
 :mod:`repro.obs.report` (``repro diff`` / ``repro report``),
-:mod:`repro.obs.sentry` (the noise-aware regression gate), and
+:mod:`repro.obs.sentry` (the engine gate over the golden fixture), and
 :mod:`repro.obs.telemetry` (harness-level sweep events for
 ``run_grid``; stdlib-only at import, so re-exporting it here stays
 cycle-free) and are imported on demand (``attach_metrics``, the CLI,

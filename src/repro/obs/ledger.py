@@ -1,7 +1,7 @@
 """Append-only JSONL run ledger: one durable record per simulation.
 
 Every other artifact of the harness is *derived* and overwritten in
-place — ``BENCH_engine.json`` keeps only the latest numbers, the disk
+place — the golden fixture keeps only the current pins, the disk
 result cache keeps only payloads keyed by content, ``results.json`` is
 regenerated per session. The ledger is the missing primary source: an
 append-only file of one JSON object per line, each tying a simulation
@@ -24,8 +24,8 @@ result to everything that produced it:
   deterministic.
 
 Writers: :func:`repro.harness.parallel.run_grid` (``ledger=``),
-``repro run`` / ``repro bench`` / ``repro check`` (opt out with
-``--no-ledger``), and ``tools/perf_profile.py``. Readers:
+and ``repro run`` / ``repro bench`` / ``repro check`` (opt out with
+``--no-ledger``). Readers:
 ``repro diff`` and ``repro report`` (:mod:`repro.obs.report`).
 
 The default location is ``~/.cache/repro-sdsp/ledger.jsonl``; override

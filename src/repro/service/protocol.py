@@ -104,15 +104,8 @@ def _require(condition, message, status=400):
 
 def _build_config(spec):
     """Overlay a partial user spec on the defaults and validate it."""
-    defaults = MachineConfig().to_spec()
-    unknown = sorted(set(spec) - set(defaults))
-    _require(not unknown,
-             f"unknown config field(s): {', '.join(unknown)} "
-             f"(see MachineConfig.to_spec for the schema)")
-    merged = dict(defaults)
-    merged.update(spec)
     try:
-        return MachineConfig.from_spec(merged).validate()
+        return MachineConfig.from_partial_spec(spec)
     except (ValueError, TypeError) as error:
         raise ProtocolError(f"invalid configuration: {error}") from error
 

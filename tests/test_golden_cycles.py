@@ -1,79 +1,92 @@
 """Golden cycle-count equivalence guard.
 
-``tests/data/golden_cycles.json`` records exact cycle counts (plus
-commit/squash/mispredict totals and the workload checksum) produced by
-the original straight-line engine for a small matrix spanning fetch
-policies, commit policies, 1 vs 4 threads, and data/instruction cache
-variations. The optimized engine — incremental scheduling-unit indexes
-and the idle-cycle fast-forward — must reproduce every number
-bit-identically, with fast-forward enabled *and* disabled. Any diff here
-means a timing-model change: either fix it, or (if intentional)
-regenerate the fixture and bump ``repro.core.pipeline.ENGINE_VERSION``.
+``tests/data/golden_cycles.json`` is the one engine fixture: each case
+names a workload and the configuration fields that differ from the
+defaults, and pins exact cycle counts (plus commit/squash/mispredict
+totals and the workload checksum) and the profiled call count. The
+cases sample the paper's thread, fetch-policy, commit-policy, SU-depth
+and cache sweeps, plus stall-heavy points for the fast-forward. The
+engine — incremental scheduling-unit indexes and the idle-cycle
+fast-forward — must reproduce every number bit-identically, with
+fast-forward enabled *and* disabled. Any diff here means a timing-model
+change: either fix it, or (if intentional) bump
+``repro.core.pipeline.ENGINE_VERSION`` and re-pin with
+``repro check --baseline tests/data/golden_cycles.json --update``.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from repro.core import MachineConfig, PipelineSim
-from repro.core.config import FU_LATENCY
-from repro.isa.opcodes import FuClass
-from repro.mem.cache import CacheConfig
-from repro.workloads import by_name
+from repro.core import MachineConfig
+from repro.core.pipeline import ENGINE_VERSION
+from repro.obs import sentry
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "golden_cycles.json"
-GOLDEN = json.loads(FIXTURE.read_text())
-
-#: label -> MachineConfig overrides; must match how the fixture was
-#: generated (see the module docstring for the regeneration procedure).
-CASES = {
-    "LL2-1t-default": dict(nthreads=1),
-    "LL2-4t-maskedrr": dict(nthreads=4, fetch_policy="masked_rr"),
-    "LL7-4t-cswitch-lowest": dict(nthreads=4, fetch_policy="cond_switch",
-                                  commit_policy="lowest_only"),
-    "Sieve-4t-icount": dict(nthreads=4, fetch_policy="icount"),
-    "MPD-4t-icache": dict(nthreads=4, icache=CacheConfig(
-        size_bytes=1024, assoc=2, ports=1)),
-    "Water-1t-lowest-nobypass": dict(nthreads=1, commit_policy="lowest_only",
-                                     bypassing=False),
-    "LL1-4t-smalldirect": dict(nthreads=4, cache=CacheConfig(
-        size_bytes=256, assoc=1)),
-    "LL3-2t-su32-norename": dict(nthreads=2, su_entries=32, renaming=False),
-    # Stall-heavy points for the generalized (next-event) fast-forward:
-    # a divide-dominated run exercises the fu-latency skip path, a
-    # thrashing direct-mapped cache with a long penalty the dcache-miss
-    # and commit-wait paths. Both must be bit-identical ff-on vs ff-off.
-    "Water-2t-divheavy": dict(nthreads=2, fu_latency={
-        **FU_LATENCY, FuClass.FPDIV: 40, FuClass.IDIV: 40}),
-    "LL2-2t-missheavy": dict(nthreads=2, cache=CacheConfig(
-        size_bytes=128, line_words=4, assoc=1, miss_penalty=96)),
-    # Masked round-robin with long misses: a writeback that finishes the
-    # bottom block lifts the thread's mask only in the next cycle's
-    # commit stage, so the fast-forward must not skip that cycle.
-    "LL2-1t-maskedrr-missheavy": dict(
-        nthreads=1, fetch_policy="masked_rr", bypassing=False,
-        cache=CacheConfig(size_bytes=128, line_words=4, assoc=1,
-                          miss_penalty=96)),
-}
+VERSION, CASES = sentry.load_fixture(FIXTURE)
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_fixture_and_cases_agree():
-    assert set(CASES) == set(GOLDEN)
+    # Pinned under the current engine, and each case stores exactly the
+    # fields that differ from the default machine.
+    assert VERSION == ENGINE_VERSION
+    defaults = MachineConfig().to_spec()
+    stored = json.loads(FIXTURE.read_text())["cases"]
+    for label, case in CASES.items():
+        spec = case.config.to_spec()
+        assert stored[label]["config"] == {
+            key: value for key, value in spec.items()
+            if value != defaults[key]}
 
 
 @pytest.mark.parametrize("fast_forward", [True, False],
                          ids=["ff-on", "ff-off"])
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_golden_cycles(label, fast_forward):
-    golden = GOLDEN[label]
-    workload = by_name(golden["workload"])
-    config = MachineConfig(fast_forward=fast_forward, **CASES[label])
-    sim = PipelineSim(workload.program(config.nthreads), config)
-    stats = sim.run()
-    assert stats.cycles == golden["cycles"]
-    assert stats.committed == golden["committed"]
-    assert stats.squashed == golden["squashed"]
-    assert stats.mispredicts == golden["mispredicts"]
-    checksum = sim.mem(workload.checksum_address(config.nthreads))
-    assert checksum == pytest.approx(golden["checksum"], rel=1e-12)
+    case = CASES[label]
+    sim = sentry.build(case, fast_forward=fast_forward)
+    got = sentry.outcome(case, sim, sim.run())
+    assert got == {key: case.pins[key] for key in sentry.EXACT}
+
+
+_COUNT = """
+import sys
+from repro.obs import sentry
+_, cases = sentry.load_fixture(sys.argv[1])
+for label in sys.argv[2:]:
+    case = cases[label]
+    sentry.build(case).run()
+    calls = sentry.count_calls(case)
+print(calls)
+"""
+
+
+def _warmed_calls(*labels):
+    """Calls of the last of ``labels``, each run warmed then profiled in
+    order, in a fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT, str(FIXTURE), *labels],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        text=True, check=True, timeout=300)
+    return int(out.stdout)
+
+
+def test_warmed_calls_ignore_what_ran_before():
+    # Profiled first in the process, or after two other cases: a warm
+    # count is the same.
+    label = "LL5-1t-mp32"
+    first = _warmed_calls(label)
+    assert first == _warmed_calls("LL2-1t-default", "Water-2t-divheavy",
+                                  label)
+    assert first == CASES[label].pins["calls"]
+
+
+def test_calls_pin_matches_fixture():
+    case = CASES["LL2-1t-default"]
+    sentry.build(case).run()
+    assert sentry.count_calls(case) == case.pins["calls"]

@@ -10,20 +10,19 @@ uninstrumented engine is pinned against).
 import pytest
 
 from repro.core import MachineConfig, PipelineSim
+from repro.obs import sentry
 from repro.obs.attribution import CATEGORIES, StallAttribution, \
     format_breakdown
 from repro.workloads import by_name
-from tests.test_golden_cycles import CASES, GOLDEN
+from tests.test_golden_cycles import CASES
 
 
 def instrumented_run(label, fast_forward):
-    golden = GOLDEN[label]
-    workload = by_name(golden["workload"])
-    config = MachineConfig(fast_forward=fast_forward, **CASES[label])
-    sim = PipelineSim(workload.program(config.nthreads), config)
+    case = CASES[label]
+    sim = sentry.build(case, fast_forward=fast_forward)
     attr = sim.attach_attribution()
     stats = sim.run()
-    return golden, attr, stats
+    return case.pins, attr, stats
 
 
 @pytest.mark.parametrize("fast_forward", [True, False],

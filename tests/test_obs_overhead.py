@@ -1,9 +1,10 @@
 """The zero-overhead contract: observability costs nothing while off.
 
-``tools/perf_profile.py --smoke`` gates wall-clock throughput in CI;
-these tests pin the mechanism behind that number: an uninstrumented
-run executes *zero* calls into the ``repro.obs`` package, and attaching
-the full observability load never moves a simulated cycle.
+``repro check`` gates the plain engine's profiled calls per golden
+case in CI; these tests pin the mechanism behind that number: an
+uninstrumented run executes *zero* calls into the ``repro.obs``
+package, and attaching the full observability load never moves a
+simulated cycle.
 """
 
 import os
