@@ -8,9 +8,13 @@ expand to real instructions during pass one so that label addresses are
 exact.
 """
 
-from repro.asm.assembler import assemble
-from repro.asm.disassembler import disassemble
-from repro.asm.errors import AsmError
-from repro.asm.program import DATA_BASE, Program
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "assembler": ("assemble",),
+    "disassembler": ("disassemble",),
+    "errors": ("AsmError",),
+    "program": ("DATA_BASE", "Program"),
+})
 
 __all__ = ["AsmError", "DATA_BASE", "Program", "assemble", "disassemble"]

@@ -67,11 +67,10 @@ import os
 import sys
 import time
 
-from repro.asm import AsmError, assemble, disassemble
-from repro.core import FetchPolicy, CommitPolicy, MachineConfig, PipelineSim
-from repro.funcsim import FunctionalSim
-from repro.lang import CompileError, compile_source, compile_to_asm
-from repro.mem.cache import CacheConfig
+# Only what building the parser needs is imported here; each command
+# imports the rest (the compiler, the engine, the pool) when it runs,
+# so ``repro report`` on a warm cache never loads them.
+from repro.core.config import CommitPolicy, FetchPolicy
 from repro.workloads import ALL_WORKLOADS, BY_NAME
 
 _MINIC_SUFFIXES = (".mc", ".c", ".minic")
@@ -192,7 +191,8 @@ def _open_telemetry(args):
 
 
 def _machine_config(args):
-    from repro.core.config import FU_DEFAULT, FU_ENHANCED
+    from repro.core.config import FU_DEFAULT, FU_ENHANCED, MachineConfig
+    from repro.mem.cache import CacheConfig
     try:
         cache = CacheConfig(size_bytes=int(args.cache_kb * 1024),
                             assoc=args.cache_assoc)
@@ -218,12 +218,15 @@ def _load_program(path, nthreads, align):
         raise CliError(
             f"cannot read {path!r}: {error.strerror or error}") from error
     if any(path.endswith(suffix) for suffix in _MINIC_SUFFIXES):
+        from repro.lang.compiler import compile_source
         return compile_source(source, nthreads=nthreads,
                               align_branch_targets=align)
+    from repro.asm.assembler import assemble
     return assemble(source, align_targets=align)
 
 
 def cmd_asm(args):
+    from repro.asm.disassembler import disassemble
     program = _load_program(args.file, 1, args.align)
     listing = disassemble(program)
     words = program.words
@@ -235,6 +238,7 @@ def cmd_asm(args):
 
 
 def cmd_cc(args):
+    from repro.lang.compiler import compile_to_asm
     with open(args.file) as handle:
         source = handle.read()
     print(compile_to_asm(source, nthreads=args.threads))
@@ -245,12 +249,14 @@ def cmd_run(args):
     config = _machine_config(args)  # validate flags before compiling
     program = _load_program(args.file, args.threads, args.align)
     if args.functional:
+        from repro.funcsim.machine import FunctionalSim
         sim = FunctionalSim(program, nthreads=args.threads)
         sim.run(max_steps=args.max_cycles)
         print(f"functional run complete: {sim.steps} instructions")
         for thread in sim.threads:
             print(f"  thread {thread.tid}: {thread.retired} retired")
         return 0
+    from repro.core.pipeline import PipelineSim
     sim = PipelineSim(program, config)
     telemetry, finish = _open_telemetry(args)
     beat_stop = beat_thread = None
@@ -304,6 +310,7 @@ def _resolve_program(name_or_path, nthreads, align):
 
 
 def cmd_trace(args):
+    from repro.core.pipeline import PipelineSim
     config = _machine_config(args)
     program = _resolve_program(args.prog, args.threads, args.align)
     sim = PipelineSim(program, config)
@@ -330,6 +337,7 @@ def cmd_trace(args):
 
 
 def cmd_stats(args):
+    from repro.core.pipeline import PipelineSim
     config = _machine_config(args)
     program = _resolve_program(args.prog, args.threads, args.align)
     sim = PipelineSim(program, config)
@@ -400,6 +408,7 @@ def cmd_bench(args):
     telemetry, finish = _open_telemetry(args)
     if telemetry is not None:
         return _bench_grid(args, workload, config, telemetry, finish)
+    from repro.core.pipeline import PipelineSim
     program = workload.program(args.threads)
     sim = PipelineSim(program, config)
     start = time.perf_counter()
@@ -523,8 +532,10 @@ def _parse_service_url(url, default_port=8421):
 
 
 def cmd_report(args):
+    from repro.asm.errors import AsmError
     from repro.harness.diskcache import default_path as cache_default
     from repro.harness.parallel import GridError
+    from repro.lang.errors import CompileError
     from repro.obs.ledger import LedgerError
     from repro.obs.report import run_report
 

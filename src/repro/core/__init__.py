@@ -9,17 +9,15 @@ Commit, a shared data cache and store buffer, and a configurable
 functional-unit pool.
 """
 
-from repro.core.config import (
-    CommitPolicy,
-    FetchPolicy,
-    FU_DEFAULT,
-    FU_ENHANCED,
-    FU_LATENCY,
-    MachineConfig,
-)
-from repro.core.branch import BranchPredictor
-from repro.core.pipeline import PipelineSim
-from repro.core.stats import SimStats
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("CommitPolicy", "FetchPolicy", "FU_DEFAULT", "FU_ENHANCED",
+               "FU_LATENCY", "MachineConfig"),
+    "branch": ("BranchPredictor",),
+    "pipeline": ("PipelineSim",),
+    "stats": ("SimStats",),
+})
 
 __all__ = [
     "BranchPredictor",

@@ -10,6 +10,18 @@ import enum
 from repro.isa.opcodes import FU_CLASSES, FuClass
 from repro.mem.cache import CacheConfig
 
+#: Simulator timing-model version. Bump on ANY change that can alter a
+#: simulated cycle count; persisted results keyed on an older version
+#: are then ignored rather than silently reused. Version 3 is the
+#: next-event fast-forward engine — cycle counts are unchanged, but the
+#: bump retires every cache entry produced before its safety nets were
+#: in place. Version 4 stops the fast-forward from skipping the cycle in
+#: which a masked-RR mask changes; fast-forward runs of such shapes now
+#: match the per-cycle loop. It lives here, not beside the engine in
+#: :mod:`repro.core.pipeline`, so cache keys and ledger records can
+#: name it without importing the engine.
+ENGINE_VERSION = 4
+
 
 class FetchPolicy(enum.Enum):
     """The three fetch policies of Section 5.1, plus ICOUNT.

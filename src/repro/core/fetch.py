@@ -35,6 +35,12 @@ class ThreadContext:
         self.stall_until = 0  # instruction-cache miss stall
 
     def fetchable(self, now=None):
+        """Can fetch select this thread at cycle ``now``?
+
+        The one copy of the fetch predicate: every policy and the
+        fast-forward horizon ask it. ``now=None`` ignores the
+        instruction-cache refill stall.
+        """
         if self.done or self.fetch_halted or self.jalr_wait is not None:
             return False
         if now is not None and now < self.stall_until:
@@ -110,25 +116,16 @@ class FetchUnit:
         periodic commit pattern can phase-lock against the counter and
         starve half the threads indefinitely.
         """
-        # ``thread.fetchable(cycle)`` is inlined below (attribute tests
-        # on the hot path); keep the conditions in sync.
         n = self.config.nthreads
         if self.policy is FetchPolicy.TRUE_RR:
             thread = self.threads[self._rr_counter % n]
             self._rr_counter += 1
-            if (thread.done or thread.fetch_halted
-                    or thread.jalr_wait is not None
-                    or cycle < thread.stall_until):
-                return None
-            return thread
+            return thread if thread.fetchable(cycle) else None
         if self.policy is FetchPolicy.MASKED_RR:
             masked = self.masked
             for offset in range(n):
                 thread = self.threads[(self._rr_pointer + offset) % n]
-                if not (thread.done or thread.fetch_halted
-                        or thread.jalr_wait is not None
-                        or cycle < thread.stall_until
-                        or masked[thread.tid]):
+                if not masked[thread.tid] and thread.fetchable(cycle):
                     self._rr_pointer = (thread.tid + 1) % n
                     return thread
             return None
@@ -142,17 +139,16 @@ class FetchUnit:
             # list from the pointer, then wrap once.
             threads = self.threads
             for thread in threads[pointer:] + threads[:pointer]:
-                if (thread.done or thread.fetch_halted
-                        or thread.jalr_wait is not None
-                        or cycle < thread.stall_until):
-                    continue
                 if counts is not None:
                     key = counts[thread.tid]
                 elif occupancy_of is not None:
                     key = occupancy_of(thread.tid)
                 else:
                     key = 0
-                if best is None or key < best_key:
+                # The predicate last: only a thread that would become
+                # the best is asked whether it can fetch.
+                if (best is None or key < best_key) \
+                        and thread.fetchable(cycle):
                     best, best_key = thread, key
             if best is not None:
                 self._rr_pointer = (best.tid + 1) % n
@@ -198,10 +194,8 @@ class FetchUnit:
         masked = self.masked if self.policy is FetchPolicy.MASKED_RR else None
         horizon = None
         for thread in self.threads:
-            if (thread.done or thread.fetch_halted
-                    or thread.jalr_wait is not None):
-                continue
-            if masked is not None and masked[thread.tid]:
+            if not thread.fetchable() or (masked is not None
+                                          and masked[thread.tid]):
                 continue
             stall = thread.stall_until
             if stall <= now:

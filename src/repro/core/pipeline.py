@@ -64,10 +64,13 @@ every rule").
   produce bit-identical statistics (enforced by
   ``tests/test_golden_cycles.py`` and the differential suite).
 
-Bump :data:`ENGINE_VERSION` whenever a change alters any simulated
-cycle count — or deliberately, to invalidate persisted results after a
-major engine rework; the persistent result cache
-(``repro.harness.diskcache``) keys on it.
+Bump :data:`~repro.core.config.ENGINE_VERSION` whenever a change
+alters any simulated cycle count — or deliberately, to invalidate
+persisted results after a major engine rework; the persistent result
+cache (``repro.harness.diskcache``) keys on it. It lives in
+:mod:`repro.core.config` so cache keys and ledger records can name it
+without loading the engine; ``repro.core.pipeline.ENGINE_VERSION`` is
+the same object.
 """
 
 import gc
@@ -75,7 +78,9 @@ import heapq
 
 from repro.asm.program import Program
 from repro.core.branch import BranchPredictor
-from repro.core.config import CommitPolicy, FetchPolicy, MachineConfig
+# ENGINE_VERSION is defined in config and re-exported here.
+from repro.core.config import (ENGINE_VERSION, CommitPolicy,  # noqa: F401
+                               FetchPolicy, MachineConfig)
 from repro.core.execute import FuPool
 from repro.core.fetch import FetchUnit, ThreadContext
 from repro.core.scheduler import DONE, ISSUED, SchedulingUnit, WAITING
@@ -93,16 +98,6 @@ from repro.obs.attribution import F_DCACHE, F_FU, F_SYNC, span_class
 from repro.obs.events import (CommitEvent, DecodeEvent, FetchEvent,
                               IssueEvent, SquashEvent, StallEvent,
                               WritebackEvent)
-
-#: Simulator timing-model version. Bump on ANY change that can alter a
-#: simulated cycle count; persisted results keyed on an older version
-#: are then ignored rather than silently reused. Version 3 is the
-#: next-event fast-forward engine — cycle counts are unchanged, but the
-#: bump retires every cache entry produced before its safety nets were
-#: in place. Version 4 stops the fast-forward from skipping the cycle in
-#: which a masked-RR mask changes; fast-forward runs of such shapes now
-#: match the per-cycle loop.
-ENGINE_VERSION = 4
 
 _DIV_CLASSES = (FuClass.IDIV, FuClass.FPDIV)
 

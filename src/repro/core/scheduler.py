@@ -106,7 +106,6 @@ class SchedulingUnit:
         self.capacity_blocks = config.su_blocks
         self.blocks = []
         self._next_seq = 0
-        self.by_tag = {}
         self._entry_count = 0
         # _writers[tid][reg] -> in-flight writer entries, oldest first.
         nthreads = config.nthreads
@@ -153,7 +152,6 @@ class SchedulingUnit:
         block.ready_fu_mask = 0
         block.store_count = 0
         self.blocks.append(block)
-        by_tag = self.by_tag
         tid_stores = self._tid_stores[tid]
         mem_waiting = self._tid_mem_waiting[tid]
         writers = self._writers[tid]
@@ -209,7 +207,6 @@ class SchedulingUnit:
             entry.order = seq8 | len(entries)
             entry.block = block
             entries.append(entry)
-            by_tag[entry.tag] = entry
             if info.is_store:
                 tid_stores.append(entry)
                 if not info.is_load:
@@ -360,7 +357,6 @@ class SchedulingUnit:
                 info = entry.info
                 if info.is_store and not info.is_load:
                     block.store_count -= 1
-                self.by_tag.pop(entry.tag, None)
                 self._drop_writer(entry)
                 squashed.append(entry)
             block.entries = survivors
@@ -405,11 +401,9 @@ class SchedulingUnit:
         """Remove and return a committed block (all entries DONE)."""
         block = self.blocks.pop(index)
         tid = block.tid
-        by_tag = self.by_tag
         stores = self._tid_stores[tid]
         writers = self._writers[tid]
         for entry in block.entries:
-            by_tag.pop(entry.tag, None)
             dest = entry.dest
             if dest is not None:
                 stack = writers[dest]

@@ -25,16 +25,14 @@ See ``docs/ROBUSTNESS.md`` for the failure-mode catalogue,
 that exercise every recovery path.
 """
 
-from repro.faults.inject import (
-    FaultPlan,
-    InjectedCrash,
-    InjectedFault,
-    InjectedHang,
-    corrupt_file,
-    inflate_calls,
-    perturb_cycles,
-)
-from repro.faults.service import ServiceFaultPlan
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "inject": ("FaultPlan", "InjectedCrash", "InjectedFault",
+               "InjectedHang", "corrupt_file", "inflate_calls",
+               "perturb_cycles"),
+    "service": ("ServiceFaultPlan",),
+})
 
 __all__ = [
     "FaultPlan",

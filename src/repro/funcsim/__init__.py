@@ -6,6 +6,10 @@ interleaving. It has no notion of pipelines or caches; it defines the
 oracle for the cycle-accurate pipeline simulator.
 """
 
-from repro.funcsim.machine import FunctionalSim, SimFault, ThreadState
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "machine": ("FunctionalSim", "SimFault", "ThreadState"),
+})
 
 __all__ = ["FunctionalSim", "SimFault", "ThreadState"]

@@ -8,21 +8,18 @@ that share a configuration (e.g. the single-threaded base case) reuse
 results.
 """
 
-from repro.harness.runner import Runner, RunResult
-from repro.harness.diskcache import CacheCorruptionWarning, DiskResultCache
-from repro.harness.parallel import (GridError, GridInterrupted, JobFailure,
-                                    cross, default_workers, run_grid)
-from repro.harness.experiments import (
-    cache_study,
-    commit_study,
-    fetch_policy_study,
-    fu_study,
-    fu_usage_study,
-    speedup_summary,
-    su_depth_study,
-    thread_sweep,
-)
-from repro.harness.tables import format_table, series_table
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "runner": ("Runner", "RunResult"),
+    "diskcache": ("CacheCorruptionWarning", "DiskResultCache"),
+    "parallel": ("GridError", "GridInterrupted", "JobFailure", "cross",
+                 "default_workers", "run_grid"),
+    "experiments": ("cache_study", "commit_study", "fetch_policy_study",
+                    "fu_study", "fu_usage_study", "speedup_summary",
+                    "su_depth_study", "thread_sweep"),
+    "tables": ("format_table", "series_table"),
+})
 
 __all__ = [
     "CacheCorruptionWarning",

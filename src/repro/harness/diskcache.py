@@ -11,7 +11,7 @@ Keying
 A cached entry is valid only if *nothing that can affect a simulated
 cycle count* changed, so the key hashes together:
 
-* :data:`repro.core.pipeline.ENGINE_VERSION` — bumped manually whenever
+* :data:`repro.core.config.ENGINE_VERSION` — bumped manually whenever
   a simulator change alters any cycle count; stale entries are then
   ignored (never silently reused) and rewritten on the next run.
 * what determines the *program*, rather than the program itself: the
@@ -19,7 +19,8 @@ cycle count* changed, so the key hashes together:
   alignment variant, and
   :func:`~repro.harness.runner.toolchain_digest` — a digest, computed
   once per process, of the ``*.py`` sources of ``repro.lang``,
-  ``repro.asm`` and ``repro.isa``. Editing a kernel invalidates exactly
+  ``repro.asm`` and ``repro.isa`` and the lazy-export helper their
+  ``__init__`` modules run. Editing a kernel invalidates exactly
   its entries, editing the toolchain invalidates all of them, and a
   hit compiles nothing (the payload carries the ``program_hash`` the
   ledger record needs);
@@ -42,7 +43,7 @@ data:
   emitted; the cache then starts empty. Nothing is silently deleted —
   the corpse stays on disk for diagnosis.
 * **Per-entry validation.** Entries are stored in a versioned envelope
-  recording the :data:`~repro.core.pipeline.ENGINE_VERSION` that wrote
+  recording the :data:`~repro.core.config.ENGINE_VERSION` that wrote
   them; on load, entries from another engine version are dropped, and
   with a ``schema`` (a tuple of required payload fields) entries whose
   payload is not a dict or misses a required field are dropped too —
@@ -75,6 +76,8 @@ try:
 except ImportError:  # non-POSIX: fall back to atomic-replace-only safety
     fcntl = None
 
+from repro.core.config import ENGINE_VERSION
+
 #: Environment variable overriding the cache file location.
 ENV_PATH = "REPRO_CACHE"
 
@@ -98,13 +101,6 @@ def hash_key(*parts):
     """Stable hex digest of arbitrarily nested plain data."""
     text = json.dumps(parts, sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _engine_version():
-    # Imported lazily: the cache is also used by light-weight tools that
-    # should not pay for the full simulator import at module load.
-    from repro.core.pipeline import ENGINE_VERSION
-    return ENGINE_VERSION
 
 
 class _FileLock:
@@ -207,7 +203,6 @@ class DiskResultCache:
         return entries, engines
 
     def _adopt_envelopes(self, raw):
-        current = _engine_version()
         entries = {}
         engines = {}
         dropped = 0
@@ -216,7 +211,7 @@ class DiskResultCache:
                 dropped += 1
                 continue
             engine = envelope.get("engine")
-            if isinstance(engine, int) and engine != current:
+            if isinstance(engine, int) and engine != ENGINE_VERSION:
                 dropped += 1  # stale engine: ignored, never reused
                 continue
             payload = envelope["payload"]
@@ -287,7 +282,7 @@ class DiskResultCache:
         """Store ``payload`` (plain data) under ``key``."""
         with self._lock:
             self._entries[key] = payload
-            self._engines[key] = _engine_version()
+            self._engines[key] = ENGINE_VERSION
             self._dirty = True
         if self.autosave:
             self.save()

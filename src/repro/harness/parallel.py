@@ -76,20 +76,18 @@ import threading
 import time
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.config import MachineConfig
-from repro.core.pipeline import DeadlockError
 from repro.harness.runner import Runner, decoded_program
 
 #: Environment variable pinning the worker-pool size (clamped to >= 1).
 ENV_WORKERS = "REPRO_WORKERS"
 
 #: Exception types that retrying cannot fix: wrong checksums, cycle
-#: budget exhaustion, and malformed jobs reproduce deterministically.
-_DETERMINISTIC_ERRORS = (AssertionError, DeadlockError, ValueError,
-                         TypeError, KeyError)
+#: budget exhaustion (:class:`~repro.core.pipeline.DeadlockError`, which
+#: :func:`_retryable` adds), and malformed jobs reproduce
+#: deterministically.
+_DETERMINISTIC_ERRORS = (AssertionError, ValueError, TypeError, KeyError)
 
 
 class JobFailure:
@@ -271,7 +269,10 @@ class _Job:
 
 def _retryable(exc):
     """Can a retry plausibly change the outcome of this exception?"""
-    return not isinstance(exc, _DETERMINISTIC_ERRORS)
+    # Only a job that ran the engine raises a DeadlockError, so by now
+    # the engine is loaded and this import is a dict lookup.
+    from repro.core.pipeline import DeadlockError
+    return not isinstance(exc, _DETERMINISTIC_ERRORS + (DeadlockError,))
 
 
 def _worker_init():
@@ -295,6 +296,14 @@ def _worker_init():
             signal.signal(signum, signal.SIG_DFL)
         except (ValueError, OSError):
             pass
+
+
+def _new_pool(width):
+    """A fresh worker pool. ``concurrent.futures`` (and with it
+    ``multiprocessing``) is imported here, so a grid that never misses
+    the cache never loads it."""
+    from concurrent.futures.process import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=width, initializer=_worker_init)
 
 
 def _kill_pool(pool):
@@ -382,9 +391,11 @@ class _GridExecutor:
     # ---------------------------------------------------------- pool path
 
     def run_pool(self, jobs):
+        # Load the engine before the pool forks: every worker inherits
+        # it instead of importing it again.
+        import repro.core.pipeline  # noqa: F401
         self.queue.extend(jobs)
-        self.pool = ProcessPoolExecutor(max_workers=self.width,
-                                             initializer=_worker_init)
+        self.pool = _new_pool(self.width)
         try:
             while self.queue or self.inflight:
                 try:
@@ -422,6 +433,7 @@ class _GridExecutor:
         suspects go first, so the culprit of an unattributed crash is
         identified (or exonerated) as quickly as possible.
         """
+        from concurrent.futures.process import BrokenProcessPool
         cap = 1 if self.suspects else self.width
         now = time.monotonic()
         if self.suspects:
@@ -460,6 +472,7 @@ class _GridExecutor:
     def _wait_for_events(self):
         """Block until a future settles, a deadline passes, or a queued
         job's backoff expires."""
+        from concurrent.futures import FIRST_COMPLETED, wait
         now = time.monotonic()
         horizon = None
         for job in self.inflight.values():
@@ -477,6 +490,7 @@ class _GridExecutor:
 
     def _collect(self, done):
         """Absorb settled futures; returns True when the pool broke."""
+        from concurrent.futures.process import BrokenProcessPool
         for future in done:
             job = self.inflight.get(future)
             if job is None:
@@ -511,8 +525,7 @@ class _GridExecutor:
                 victims.append(job)
         self.inflight.clear()
         _kill_pool(self.pool)
-        self.pool = ProcessPoolExecutor(max_workers=self.width,
-                                             initializer=_worker_init)
+        self.pool = _new_pool(self.width)
         if self.telemetry is not None and victims:
             self.telemetry.worker_crash([job.index for job in victims])
         if len(victims) == 1:
@@ -530,6 +543,7 @@ class _GridExecutor:
 
     def _reap_overdue(self):
         """Presume jobs past their deadline hung; kill and recover."""
+        from concurrent.futures.process import BrokenProcessPool
         if self.timeout is None or not self.inflight:
             return
         now = time.monotonic()
@@ -558,8 +572,7 @@ class _GridExecutor:
             elif (future, job) not in overdue:
                 innocents.append(job)
         _kill_pool(self.pool)
-        self.pool = ProcessPoolExecutor(max_workers=self.width,
-                                             initializer=_worker_init)
+        self.pool = _new_pool(self.width)
         self.inflight.clear()
         for job in innocents:
             # Uncharged: their workers were collateral of the teardown.

@@ -15,8 +15,7 @@ import hashlib
 import pathlib
 import time
 
-from repro.core import MachineConfig, PipelineSim
-from repro.core.pipeline import ENGINE_VERSION
+from repro.core.config import ENGINE_VERSION, MachineConfig
 from repro.core.stats import SimStats
 from repro.harness.diskcache import DiskResultCache
 
@@ -95,10 +94,12 @@ def program_hash(program):
     return digest.hexdigest()
 
 
-#: Packages whose sources determine what :func:`repro.lang.compile_source`
-#: emits: exactly the ``repro`` subpackages that importing the compiler
-#: loads (``tests/test_harness.py`` pins that set).
-TOOLCHAIN_PACKAGES = ("lang", "asm", "isa")
+#: Sources (globs under ``src/repro``) that determine what
+#: :func:`repro.lang.compile_source` emits: exactly the ``repro``
+#: modules that importing the compiler loads, namely three subpackages
+#: and the lazy-export helper their ``__init__`` modules run
+#: (``tests/test_harness.py`` pins that set).
+TOOLCHAIN_SOURCES = ("lang/*.py", "asm/*.py", "isa/*.py", "_lazy.py")
 
 
 @functools.cache
@@ -112,9 +113,9 @@ def toolchain_digest():
     """
     root = pathlib.Path(__file__).resolve().parent.parent
     digest = hashlib.sha256()
-    for package in TOOLCHAIN_PACKAGES:
-        for path in sorted((root / package).glob("*.py")):
-            digest.update(f"{package}/{path.name}\n".encode())
+    for pattern in TOOLCHAIN_SOURCES:
+        for path in sorted(root.glob(pattern)):
+            digest.update(f"{path.relative_to(root).as_posix()}\n".encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
 
@@ -225,6 +226,7 @@ class Runner:
                 result = self._from_payload(workload, config, payload)
                 self._cache[key] = result
                 return result
+        from repro.core.pipeline import PipelineSim
         program, phash = decoded_program(workload, nthreads, aligned=aligned)
         sim = PipelineSim(program, config)
         if self.instrument:

@@ -8,18 +8,15 @@ trigger flags), the in-memory :class:`~repro.isa.instruction.Instruction`
 representation, and a fixed-width 32-bit binary encoding.
 """
 
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Format, FuClass, Op, OPCODE_INFO, OpInfo
-from repro.isa.registers import (
-    NUM_PHYSICAL_REGS,
-    REG_GP,
-    REG_RA,
-    REG_SP,
-    REG_ZERO,
-    RegisterFile,
-    regs_per_thread,
-)
-from repro.isa.encoding import decode, encode
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "instruction": ("Instruction",),
+    "opcodes": ("Format", "FuClass", "Op", "OPCODE_INFO", "OpInfo"),
+    "registers": ("NUM_PHYSICAL_REGS", "REG_GP", "REG_RA", "REG_SP",
+                  "REG_ZERO", "RegisterFile", "regs_per_thread"),
+    "encoding": ("decode", "encode"),
+})
 
 __all__ = [
     "Format",

@@ -27,7 +27,11 @@ model is the paper's *homogeneous multitasking*: all threads run the
 same code on different data.
 """
 
-from repro.lang.compiler import compile_source, compile_to_asm
-from repro.lang.errors import CompileError
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "compiler": ("compile_source", "compile_to_asm"),
+    "errors": ("CompileError",),
+})
 
 __all__ = ["CompileError", "compile_source", "compile_to_asm"]

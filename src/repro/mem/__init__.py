@@ -8,9 +8,13 @@ depend on cache hit rates and refill stalls, not on modelling coherence
 of a single-core cache.
 """
 
-from repro.mem.memory import MainMemory, MemoryFault
-from repro.mem.cache import CacheConfig, CacheStats, DataCache
-from repro.mem.storebuffer import StoreBuffer, StoreBufferEntry
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "memory": ("MainMemory", "MemoryFault"),
+    "cache": ("CacheConfig", "CacheStats", "DataCache"),
+    "storebuffer": ("StoreBuffer", "StoreBufferEntry"),
+})
 
 __all__ = [
     "CacheConfig",

@@ -9,9 +9,10 @@ the pipeline can import them without cycles; the heavier pieces live in
 :mod:`repro.obs.report` (``repro diff`` / ``repro report``),
 :mod:`repro.obs.sentry` (the engine gate over the golden fixture), and
 :mod:`repro.obs.telemetry` (harness-level sweep events for
-``run_grid``; stdlib-only at import, so re-exporting it here stays
-cycle-free) and are imported on demand (``attach_metrics``, the CLI,
-the exporters' users).
+``run_grid``) and are imported on demand (``attach_metrics``, the CLI,
+the exporters' users). The names re-exported below resolve lazily
+(:mod:`repro._lazy`): importing this package, or any module in it,
+loads none of them until one is read.
 
 :mod:`repro.obs.runtime` — the process-wide service metrics registry
 behind ``GET /metrics`` and ``repro top`` — is deliberately *not*
@@ -23,28 +24,17 @@ See ``docs/OBSERVABILITY.md`` for the event taxonomy, the stall
 categories, the zero-overhead contract, and the ledger schema.
 """
 
-from repro.obs.attribution import CATEGORIES, StallAttribution, format_breakdown
-from repro.obs.ledger import RunLedger, make_record
-from repro.obs.telemetry import (
-    LiveProgress,
-    SweepEvent,
-    SweepMetrics,
-    SweepTelemetry,
-    new_sweep_id,
-)
-from repro.obs.events import (
-    CommitEvent,
-    DecodeEvent,
-    Event,
-    EventBus,
-    EVENT_TYPES,
-    FetchEvent,
-    IssueEvent,
-    MaskEvent,
-    SquashEvent,
-    StallEvent,
-    WritebackEvent,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "attribution": ("CATEGORIES", "StallAttribution", "format_breakdown"),
+    "ledger": ("RunLedger", "make_record"),
+    "telemetry": ("LiveProgress", "SweepEvent", "SweepMetrics",
+                  "SweepTelemetry", "new_sweep_id"),
+    "events": ("CommitEvent", "DecodeEvent", "Event", "EventBus",
+               "EVENT_TYPES", "FetchEvent", "IssueEvent", "MaskEvent",
+               "SquashEvent", "StallEvent", "WritebackEvent"),
+})
 
 __all__ = [
     "CATEGORIES",

@@ -47,7 +47,6 @@ import json
 import os
 import pathlib
 import platform
-import subprocess
 import warnings
 from datetime import datetime, timezone
 
@@ -131,6 +130,7 @@ def git_sha():
         return override
     if _git_sha_cache is not _GIT_SHA_UNSET:
         return _git_sha_cache
+    import subprocess
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "--short=12", "HEAD"],
@@ -196,7 +196,7 @@ def make_record(*, source, workload, config, stats, timestamp,
     if not keep_interval_metrics:
         counters["interval_metrics"] = None
     if engine_version is None:
-        from repro.core.pipeline import ENGINE_VERSION
+        from repro.core.config import ENGINE_VERSION
         engine_version = ENGINE_VERSION
     cycles = counters.get("cycles")
     cycles_per_sec = (round(cycles / wall_seconds)

@@ -39,14 +39,17 @@ Every failure mode is injectable via
 the failure-mode catalogue.
 """
 
-from repro.service.client import (ClientDisconnect, ServiceClient,
-                                  ServiceError, ServiceUnavailable,
-                                  new_request_id)
-from repro.service.dedup import JobEntry, JobRegistry
-from repro.service.protocol import JobRequest, ProtocolError, parse_job_request
-from repro.service.queue import AdmissionController, TokenBucket
-from repro.service.server import (AccessLog, JobService, ServiceHTTP,
-                                  ServiceMetrics, run_server)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "client": ("ClientDisconnect", "ServiceClient", "ServiceError",
+               "ServiceUnavailable", "new_request_id"),
+    "dedup": ("JobEntry", "JobRegistry"),
+    "protocol": ("JobRequest", "ProtocolError", "parse_job_request"),
+    "queue": ("AdmissionController", "TokenBucket"),
+    "server": ("AccessLog", "JobService", "ServiceHTTP", "ServiceMetrics",
+               "run_server"),
+})
 
 __all__ = [
     "AccessLog",

@@ -59,6 +59,20 @@ from repro.service.queue import AdmissionController
 _SUPPRESSED_KINDS = ("sweep-start", "sweep-end", "queued", "heartbeat")
 
 
+def _load_job_path():
+    """Import what running a job needs: the compiler, the engine, the
+    worker pool and the ledger.
+
+    ``repro`` loads these lazily, at a process's first cache miss. A
+    server always runs jobs, so it pays for them before it reports
+    ready instead of inside its first requests.
+    """
+    import concurrent.futures.process  # noqa: F401
+    import repro.core.pipeline  # noqa: F401
+    import repro.lang.compiler  # noqa: F401
+    import repro.obs.ledger  # noqa: F401
+
+
 class _DispatchRelay:
     """Sink on a dispatch's private hub: remap grid -> service index.
 
@@ -262,6 +276,7 @@ class JobService:
         worker."""
         if self.started:
             return self
+        _load_job_path()
         self.started = True
         self._emit("sweep-start", total=0, workers=self.workers)
         self._threads = [

@@ -1,7 +1,7 @@
 """Workload abstraction shared by tests, examples, and the harness."""
 
-from repro.asm import AsmError
-from repro.lang import CompileError, compile_source
+from repro.asm.errors import AsmError
+from repro.lang.errors import CompileError
 
 
 class Workload:
@@ -40,6 +40,9 @@ class Workload:
         """
         key = (nthreads, aligned)
         if key not in self._programs:
+            # Imported at the first miss: a process that only replays
+            # cached results never loads the compiler.
+            from repro.lang.compiler import compile_source
             try:
                 self._programs[key] = compile_source(
                     self.source, nthreads=nthreads,

@@ -239,7 +239,7 @@ def test_runner_disk_cache_skips_simulation(tmp_path, monkeypatch):
     second = Runner(disk_cache=path)
     # Prove the replay path never simulates.
     monkeypatch.setattr(
-        "repro.harness.runner.PipelineSim",
+        "repro.core.pipeline.PipelineSim",
         lambda *a, **k: (_ for _ in ()).throw(AssertionError("simulated")))
     replayed = second.run(workload, config)
     assert second.disk_cache.hits == 1
@@ -265,7 +265,7 @@ def test_warm_grid_compiles_nothing(tmp_path, monkeypatch):
     cold = run_grid(jobs, workers=1, disk_cache=cache, ledger=cold_ledger)
 
     # Forget every compiled program and make compiling raise.
-    monkeypatch.setattr("repro.workloads.base.compile_source",
+    monkeypatch.setattr("repro.lang.compiler.compile_source",
                         compile_source)
     monkeypatch.setattr(runner_mod, "_DECODE_CACHE", {})
     for name in ("LL2", "LL5"):

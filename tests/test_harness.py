@@ -159,22 +159,27 @@ def test_compiler_imports_only_the_toolchain_packages():
     # a compiler that imported anything else would escape it.
     import json
     import os
+    import pathlib
     import subprocess
     import sys
 
     import repro
-    from repro.harness.runner import TOOLCHAIN_PACKAGES
+    from repro.harness.runner import TOOLCHAIN_SOURCES
 
-    src = os.path.dirname(os.path.dirname(repro.__file__))
+    root = pathlib.Path(repro.__file__).resolve().parent
     code = ("import json, sys, repro.lang.compiler; print(json.dumps("
-            "sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))")
+            "{m: sys.modules[m].__file__ for m in sys.modules "
+            "if m.split('.')[0] == 'repro'}))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, timeout=60,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
+                         env={**os.environ,
+                              "PYTHONPATH": str(root.parent)}).stdout
     loaded = json.loads(out)
     assert "repro.lang.compiler" in loaded
-    outside = [name for name in loaded if name != "repro"
-               and name.split(".")[1] not in TOOLCHAIN_PACKAGES]
+    covered = {path for pattern in TOOLCHAIN_SOURCES
+               for path in root.glob(pattern)}
+    outside = [name for name, path in loaded.items() if name != "repro"
+               and pathlib.Path(path).resolve() not in covered]
     assert outside == []
 
 

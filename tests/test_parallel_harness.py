@@ -49,10 +49,10 @@ def test_run_grid_uses_disk_cache(tmp_path, monkeypatch):
     first = run_grid(jobs, workers=2, disk_cache=cache_path)
     # Second pass: all jobs answered from disk, no pool and no simulation.
     monkeypatch.setattr(
-        "repro.harness.parallel.ProcessPoolExecutor",
+        "concurrent.futures.process.ProcessPoolExecutor",
         lambda *a, **k: (_ for _ in ()).throw(AssertionError("spawned pool")))
     monkeypatch.setattr(
-        "repro.harness.runner.PipelineSim",
+        "repro.core.pipeline.PipelineSim",
         lambda *a, **k: (_ for _ in ()).throw(AssertionError("simulated")))
     second = run_grid(jobs, workers=2, disk_cache=cache_path)
     for one, two in zip(first, second):

@@ -166,8 +166,9 @@ class TestFlexibleCommit:
         su = make_su()
         entry, = insert(su, 0, 7, alu())
         complete(entry)
-        su.pop_block(0)
-        assert entry.tag not in su.by_tag
+        block = su.blocks[0]
+        assert su.pop_block(0) is block
+        assert block.entries == [entry]
         assert not su.blocks
         assert su.occupancy() == 0
         assert su.lookup_operand(0, entry.dest) is None
@@ -198,7 +199,8 @@ class TestSquash:
         branch, victim = insert(
             su, 0, 0, Instruction(Op.BEQ, rs1=1, rs2=2, imm=3), alu())
         su.squash_younger(branch)
-        assert victim.tag not in su.by_tag
+        assert victim.squashed
+        assert su.blocks[0].entries == [branch]
         assert su.issuable == 1
 
 
