@@ -80,12 +80,8 @@ class FetchUnit:
         self._current = 0  # conditional-switch active thread
         self._switch_pending = False
         self.masked = [False] * config.nthreads
-        #: Callable tid -> in-flight instruction count, set by the
-        #: pipeline; used by the ICOUNT policy.
-        self.occupancy_of = None
         #: Per-tid in-flight counts (the scheduling unit's ``_tid_count``
-        #: list), set by the pipeline. When present, the ICOUNT policy
-        #: reads it directly instead of calling ``occupancy_of`` — valid
+        #: list), set by the pipeline; the ICOUNT policy's key. Valid
         #: because ``select_thread`` only runs while the fetch buffer is
         #: empty, when SU occupancy *is* the thread's full occupancy.
         self.tid_counts = None
@@ -133,18 +129,12 @@ class FetchUnit:
             best = None
             best_key = None
             counts = self.tid_counts
-            occupancy_of = self.occupancy_of
             pointer = self._rr_pointer
             # Rotation without a per-candidate modulo: walk the thread
             # list from the pointer, then wrap once.
             threads = self.threads
             for thread in threads[pointer:] + threads[:pointer]:
-                if counts is not None:
-                    key = counts[thread.tid]
-                elif occupancy_of is not None:
-                    key = occupancy_of(thread.tid)
-                else:
-                    key = 0
+                key = counts[thread.tid] if counts is not None else 0
                 # The predicate last: only a thread that would become
                 # the best is asked whether it can fetch.
                 if (best is None or key < best_key) \

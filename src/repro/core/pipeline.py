@@ -167,7 +167,6 @@ class PipelineSim:
                         for tid in range(cfg.nthreads)]
         self.su = SchedulingUnit(cfg)
         self.fetch_unit = FetchUnit(cfg, program, self.predictor, self.threads)
-        self.fetch_unit.occupancy_of = self._thread_occupancy
         # ICOUNT fast path: select_thread only runs while the fetch
         # buffer is empty, when SU occupancy is the full occupancy.
         self.fetch_unit.tid_counts = self.su._tid_count

@@ -278,6 +278,18 @@ class DiskResultCache:
             self.hits += 1
             return entry
 
+    def __contains__(self, key):
+        """Whether :meth:`get` would answer ``key`` with a payload.
+
+        Applies the same validity rule as :meth:`get` but counts no hit
+        or miss: the counters report lookups, and they feed the
+        service's ``/metrics``.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            return entry is not None and (self.schema is None
+                                          or self._payload_ok(entry))
+
     def put(self, key, payload):
         """Store ``payload`` (plain data) under ``key``."""
         with self._lock:

@@ -21,8 +21,10 @@ started with ``--allow-chaos``).
 
 import http.client
 import json
+import threading
 import time
 import uuid
+import weakref
 
 
 def new_request_id():
@@ -57,6 +59,10 @@ class ServiceClient:
     ``sleep`` and ``clock`` are injectable so the retry/backoff paths
     are deterministic under test (no real waiting).
 
+    Requests reuse one kept connection per calling thread; the event
+    stream and ``/metrics`` scrapes open their own. A kept connection
+    the server has closed is reopened and the request resent at once.
+
     Every request carries an ``X-Repro-Request-Id`` correlation header
     (caller-supplied or generated); the id echoed by the server's last
     response is kept in ``last_request_id`` — grep it in the server's
@@ -74,33 +80,63 @@ class ServiceClient:
         self.sleep = sleep
         self.clock = clock
         self.last_request_id = None
+        self._local = threading.local()     # one kept connection per thread
+        self._kept = weakref.WeakSet()      # every thread's, for close()
 
     # ------------------------------------------------------------ plumbing
 
-    def _request(self, method, path, payload=None, request_id=None):
-        connection = http.client.HTTPConnection(self.host, self.port,
-                                                timeout=self.timeout)
-        try:
-            body = json.dumps(payload).encode() if payload is not None \
-                else None
-            headers = {"Content-Type": "application/json"} if body else {}
-            if request_id is not None:
-                headers["X-Repro-Request-Id"] = request_id
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            data = response.read()
-            headers = {name.lower(): value
-                       for name, value in response.getheaders()}
-            echoed = headers.get("x-repro-request-id")
-            if echoed is not None:
-                self.last_request_id = echoed
-            try:
-                doc = json.loads(data.decode() or "null")
-            except (ValueError, UnicodeDecodeError):
-                doc = None
-            return response.status, headers, doc
-        finally:
+    def _connection(self):
+        """This thread's kept connection (opened on first use)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(self.host, self.port,
+                                                    timeout=self.timeout)
+            self._local.connection = connection
+            self._kept.add(connection)
+        return connection
+
+    def close(self):
+        """Close every thread's kept connection; a later request from
+        a thread opens a new one."""
+        for connection in list(self._kept):
             connection.close()
+
+    def _request(self, method, path, payload=None, request_id=None):
+        body = json.dumps(payload).encode() if payload is not None \
+            else None
+        headers = {"Content-Type": "application/json"} if body else {}
+        if request_id is not None:
+            headers["X-Repro-Request-Id"] = request_id
+        connection = self._connection()
+        try:
+            reused = connection.sock is not None
+            try:
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+            except (BrokenPipeError, ConnectionResetError):
+                # (RemoteDisconnected is a ConnectionResetError.) The
+                # server closed the kept connection between requests:
+                # nothing was answered, so resend once on a new one.
+                # Every request is idempotent, so this is no retry.
+                if not reused:
+                    raise
+                connection.close()
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+            data = response.read()
+        except BaseException:
+            connection.close()  # never reuse a half-used connection
+            raise
+        headers = {name.lower(): value
+                   for name, value in response.getheaders()}
+        echoed = headers.get("x-repro-request-id")
+        if echoed is not None:
+            self.last_request_id = echoed
+        try:
+            doc = json.loads(data.decode() or "null")
+        except (ValueError, UnicodeDecodeError):
+            doc = None
+        return response.status, headers, doc
 
     def _with_retries(self, send, what):
         """Run an idempotent request under the retry policy.
@@ -243,8 +279,10 @@ class ServiceClient:
         """The whole client story; returns the job's final document.
 
         Applies the plan's client-side faults for ``index`` (submit
-        delay, pool-loss chaos translation, stream disconnect), then
-        recovers from any disconnect by polling — the second half of
+        delay, pool-loss chaos translation, stream disconnect). A job
+        the submit did not find terminal is followed on its event
+        stream, whose ``result`` record carries the final document; a
+        dropped stream is recovered by polling — the second half of
         idempotent resubmission: reattaching never re-runs the job.
 
         A correlation id is always sent (generated when not supplied)
@@ -271,5 +309,8 @@ class ServiceClient:
                                       request_id=request_id):
                 pass
         except ClientDisconnect:
-            pass
-        return self.wait(job_id, request_id=request_id)
+            return self.wait(job_id, request_id=request_id)
+        # The stream's last record is the ``result`` record: the job's
+        # status document plus its stream framing.
+        return {key: value for key, value in record.items()
+                if key not in ("event", "job")}

@@ -137,8 +137,9 @@ class JobEntry:
     def finish(self, state, result=None, failure=None, on_transition=None):
         """Terminal transition; returns False if already terminal.
 
-        Publishes the final ``result`` record to every subscriber and
-        detaches them — a per-job event stream always ends with exactly
+        Publishes the final ``result`` record — the job's status
+        document plus ``event`` and ``job`` — to every subscriber and
+        detaches them; a per-job event stream always ends with exactly
         one ``result`` record. ``on_transition(state)``, when given,
         runs under the entry lock *before* the terminal state becomes
         observable — accounting updated there (the service's completion
@@ -154,13 +155,10 @@ class JobEntry:
             self.state = state
             self.result = result
             self.failure = failure
+            # The job document itself, so a client that followed the
+            # stream needs no status request after it.
             record = {"event": "result", "job": self.index,
-                      "job_id": self.request.job_id, "state": state,
-                      "workload": self.request.workload}
-            if result is not None:
-                record["result"] = result
-            if failure is not None:
-                record["failure"] = failure
+                      **self.job_doc()}
             self.events.append(record)
             subscribers = list(self._subscribers)
             self._subscribers.clear()

@@ -26,9 +26,12 @@ both layers of dedup: the registry coalesces concurrent identical
 submissions onto one in-flight job, and the cache answers repeats of
 finished ones, and the two can never disagree about what "identical"
 means. Resubmitting a payload is therefore idempotent by construction.
-The id needs no compiled program, but submission still compiles the
-point once, so one that does not compile is refused with a 400 instead
-of failing later in a worker.
+The id needs no compiled program. Submission compiles a point only
+when the server does not already know its id, so one that does not
+compile is refused with a 400 instead of failing later in a worker. A
+known id needs no compile: a registry entry was admitted after its
+point compiled, and a disk-cache entry under the id proves the point
+compiled with this source and toolchain, because both are in the key.
 
 ``chaos`` maps a :class:`repro.faults.FaultPlan` rule name (``crash``,
 ``hang``, ``fail``) to its keyword arguments and fires inside the
@@ -133,12 +136,14 @@ def _check_chaos(chaos, allow_chaos):
     return chaos
 
 
-def parse_job_request(payload, allow_chaos=False):
+def parse_job_request(payload, allow_chaos=False, known=None):
     """Validate one submission payload into a :class:`JobRequest`.
 
     Raises :class:`ProtocolError` (status 400, or 403 for refused
     chaos) with a message naming every problem it can see — including
     a workload that does not compile for the requested thread count.
+    ``known(job_id)``, when given, says whether the caller already
+    holds the job; a known job is not compiled again.
     """
     from repro.harness.parallel import _job_key
 
@@ -180,11 +185,12 @@ def parse_job_request(payload, allow_chaos=False):
     if chaos is not None:
         chaos = _check_chaos(chaos, allow_chaos)
 
-    try:
-        workload.program(config.nthreads, aligned=aligned)
-    except (CompileError, AsmError) as error:
-        raise ProtocolError(str(error)) from error
     job_id = _job_key(workload, config, aligned, instrument)
+    if known is None or not known(job_id):
+        try:
+            workload.program(config.nthreads, aligned=aligned)
+        except (CompileError, AsmError) as error:
+            raise ProtocolError(str(error)) from error
     return JobRequest(workload.name, config, aligned, instrument,
                       sweep_id, client, chaos, job_id,
                       request_id=request_id)

@@ -32,10 +32,11 @@ emits ``sweep-end``, and only then lets the process exit. A second
 signal force-quits via ``KeyboardInterrupt``.
 
 The HTTP layer is deliberately small: hand-rolled HTTP/1.1 over
-``asyncio.start_server`` (stdlib only, ``Connection: close``), JSON
-bodies, and an ndjson per-job event stream that always ends with one
-``result`` record. A client that disconnects mid-stream costs the
-server one write error; the job itself is unaffected.
+``asyncio.start_server`` (stdlib only, persistent connections with an
+idle deadline), JSON bodies, and an ndjson per-job event stream that
+always ends with one ``result`` record and then closes its connection.
+A client that disconnects mid-stream costs the server one write
+error; the job itself is unaffected.
 """
 
 import asyncio
@@ -352,7 +353,8 @@ class JobService:
             return status, doc, headers
         try:
             request = parse_job_request(payload,
-                                        allow_chaos=self.allow_chaos)
+                                        allow_chaos=self.allow_chaos,
+                                        known=self._known)
         except ProtocolError as error:
             return error.status, {"error": str(error)}, {}
         if request.request_id is None:
@@ -381,6 +383,13 @@ class JobService:
         doc = entry.job_doc()
         doc["coalesced"] = False
         return 202, doc, {}
+
+    def _known(self, job_id):
+        """Whether the registry or the disk cache already holds
+        ``job_id`` — either proves its point compiles."""
+        return (self.registry.get(job_id) is not None
+                or (self.disk_cache is not None
+                    and job_id in self.disk_cache))
 
     def job_status(self, job_id):
         """Status document for ``job_id``, or ``None`` if unknown."""
@@ -552,35 +561,38 @@ class JobService:
 
 # --------------------------------------------------------------- HTTP layer
 
+#: Seconds a connection may take to deliver its next request — request
+#: line, headers and body. When it passes, the server aborts the
+#: connection, so an idle or stalled client cannot hold a handler.
+IDLE_TIMEOUT = 5.0
+
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             403: "Forbidden", 404: "Not Found", 405: "Method Not Allowed",
             429: "Too Many Requests", 500: "Internal Server Error",
             503: "Service Unavailable"}
 
 
-def _json_response(status, payload, headers=()):
-    body = (json.dumps(payload) + "\n").encode()
+def _response(status, payload, headers=(), keep=False):
+    """One complete response: a dict ``payload`` is sent as JSON, a str
+    as Prometheus text (its Content-Type pins the exposition version
+    scrapers negotiate on). ``keep`` leaves the connection open."""
+    if isinstance(payload, str):
+        body = payload.encode()
+        content_type = "text/plain; version=0.0.4; charset=utf-8"
+    else:
+        body = (json.dumps(payload) + "\n").encode()
+        content_type = "application/json"
     lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-             "Content-Type: application/json",
-             f"Content-Length: {len(body)}",
-             "Connection: close"]
-    lines.extend(f"{name}: {value}" for name, value in headers)
-    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
-
-
-def _text_response(status, text, headers=()):
-    """Plain-text response; Content-Type pins the Prometheus text
-    exposition version scrapers negotiate on."""
-    body = text.encode()
-    lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-             "Content-Type: text/plain; version=0.0.4; charset=utf-8",
-             f"Content-Length: {len(body)}",
-             "Connection: close"]
+             f"Content-Type: {content_type}",
+             f"Content-Length: {len(body)}"]
+    if not keep:
+        lines.append("Connection: close")
     lines.extend(f"{name}: {value}" for name, value in headers)
     return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
 
 
 def _stream_head(request_id=None):
+    # The stream has no length: its end is the end of the connection.
     lines = ["HTTP/1.1 200 OK",
              "Content-Type: application/x-ndjson",
              "Connection: close"]
@@ -599,6 +611,12 @@ def _route_label(method, path):
             return "/v1/jobs/{id}/events"
         return "/v1/jobs/{id}"
     return "other"
+
+
+def _method_label(method):
+    """Canonical method label for metrics: the two the service routes,
+    or ``other`` — a client cannot add series by inventing methods."""
+    return method if method in ("GET", "POST") else "other"
 
 
 class AccessLog:
@@ -648,6 +666,13 @@ class ServiceHTTP:
         GET  /metrics             Prometheus text (404 when the service
                                   was built without a metrics registry)
 
+    Connections persist: an HTTP/1.1 request keeps its connection
+    unless it sends ``Connection: close``, an HTTP/1.0 one only when it
+    sends ``keep-alive``. The event stream, a malformed request and a
+    500 close the connection, and so does every response once the
+    service drains. Each next request must arrive within
+    :data:`IDLE_TIMEOUT`.
+
     Every response carries ``X-Repro-Request-Id`` — the client's
     header echoed back, or a server-generated id — and ``access_log``
     (an :class:`AccessLog`) gets one structured line per request with
@@ -665,6 +690,9 @@ class ServiceHTTP:
         self.port = port
         self.access_log = access_log
         self._server = None
+        self._closing = False
+        self._handlers = set()      # tasks serving a connection
+        self._idle = set()          # writers waiting for their next request
 
     async def start(self):
         self.service.start()
@@ -674,57 +702,122 @@ class ServiceHTTP:
         return self
 
     async def close(self):
-        if self._server is not None:
-            self._server.close()
-            with contextlib.suppress(asyncio.TimeoutError, TimeoutError):
-                await asyncio.wait_for(self._server.wait_closed(),
-                                       timeout=5.0)
+        """Stop listening, abort every connection idle between
+        requests, and wait for the handlers still answering one."""
+        if self._server is None:
+            return
+        self._closing = True
+        self._server.close()
+        for writer in list(self._idle):
+            writer.transport.abort()
+        if self._handlers:
+            await asyncio.wait(set(self._handlers), timeout=5.0)
+        with contextlib.suppress(asyncio.TimeoutError, TimeoutError):
+            await asyncio.wait_for(self._server.wait_closed(), timeout=5.0)
 
     # ------------------------------------------------------------- handling
 
     async def _handle(self, reader, writer):
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
-            await self._handle_inner(reader, writer)
+            while await self._serve_one(reader, writer):
+                pass
         except (ConnectionError, asyncio.IncompleteReadError):
             pass        # client went away mid-request/stream; jobs unaffected
         except Exception as error:  # noqa: BLE001 — one bad request only
             with contextlib.suppress(Exception):
-                writer.write(_json_response(
+                writer.write(_response(
                     500, {"error": f"internal error: {error!r}"}))
         finally:
+            self._idle.discard(writer)
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
+            self._handlers.discard(task)
 
-    async def _handle_inner(self, reader, writer):
-        request_line = await reader.readline()
-        if not request_line:
-            return
-        start = time.perf_counter()
+    async def _read_request(self, reader, writer):
+        """Read one request under the idle deadline.
+
+        Returns ``(method, target, version, headers, length, body)`` —
+        ``method`` is ``None`` for a malformed request line, ``length``
+        ``None`` for a bad Content-Length, and then no body is read —
+        or ``None`` when the connection ended (client close, deadline,
+        shutdown)."""
+        abort = asyncio.get_running_loop().call_later(
+            IDLE_TIMEOUT, writer.transport.abort)
+        self._idle.add(writer)
         try:
-            method, target, _ = request_line.decode("latin-1").split(None, 2)
-        except ValueError:
-            writer.write(_json_response(400,
-                                        {"error": "malformed request line"}))
-            return
-        headers = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
-        body = await reader.readexactly(length) if length > 0 else b""
+            request_line = await reader.readline()
+            self._idle.discard(writer)
+            if not request_line:
+                return None
+            headers = {}
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            if writer.transport.is_closing():
+                return None
+            parts = request_line.decode("latin-1").split(None, 2)
+            method, target, version = (parts if len(parts) == 3
+                                       else (None, None, None))
+            length = headers.get("content-length", "0")
+            length = (int(length) if length.isascii() and length.isdigit()
+                      else None)
+            body = (await reader.readexactly(length)
+                    if method is not None and length else b"")
+            return method, target, version, headers, length, body
+        finally:
+            abort.cancel()
+            self._idle.discard(writer)
+
+    async def _serve_one(self, reader, writer):
+        """Answer one request; returns whether the connection stays
+        open for the next."""
+        if self._closing:
+            return False
+        request = await self._read_request(reader, writer)
+        if request is None:
+            return False
+        start = time.perf_counter()
+        method, target, version, headers, length, body = request
+        if method is None:
+            writer.write(_response(400, {"error": "malformed request line"}))
+            return False
+        connection = headers.get("connection", "").lower()
+        http10 = version.rstrip() == "HTTP/1.0"
+        keep = ("keep-alive" in connection if http10
+                else "close" not in connection)
         path = target.split("?", 1)[0]
         request_id = (headers.get("x-repro-request-id")
                       or uuid.uuid4().hex[:12])
-        status = await self._route(method, path, body, writer, request_id)
+        if length is None:
+            # A request of unknown length would desynchronise every
+            # request after it on this connection.
+            status, payload, extra = 400, {
+                "error": "Content-Length must be a non-negative integer"}, ()
+        else:
+            status, payload, extra = await self._route(
+                method, path, body, writer, request_id)
+        if payload is None:
+            keep = False        # the event stream owned the connection
+        else:
+            keep = (keep and length is not None and not self._closing
+                    and not self.service.admission.draining)
+            extra = [*extra, ("X-Repro-Request-Id", request_id)]
+            if keep and http10:
+                extra.append(("Connection", "keep-alive"))
+            writer.write(_response(status, payload, extra, keep))
+            await writer.drain()
         seconds = time.perf_counter() - start
         if self.service.metrics is not None:
             route = _route_label(method, path)
             self.service.metrics.requests.labels(
-                route=route, method=method, status=str(status)).inc()
+                route=route, method=_method_label(method),
+                status=str(status)).inc()
             self.service.metrics.request_seconds.labels(
                 route=route).observe(seconds)
         if self.access_log is not None:
@@ -732,89 +825,65 @@ class ServiceHTTP:
                              "path": path, "status": status,
                              "seconds": round(seconds, 6),
                              "request_id": request_id})
-
-    def _respond(self, writer, status, payload, headers=(),
-                 request_id=None):
-        all_headers = list(headers)
-        if request_id is not None:
-            all_headers.append(("X-Repro-Request-Id", request_id))
-        writer.write(_json_response(status, payload, all_headers))
-        return status
+        return keep
 
     async def _route(self, method, path, body, writer, request_id):
-        """Dispatch one request; returns the response status code."""
+        """Answer one request as ``(status, payload, headers)`` for the
+        caller to send (see :func:`_response`), or ``(200, None, ())``
+        once the event stream has been written."""
         if path == "/healthz" and method == "GET":
-            return self._respond(
-                writer, 200, {"status": "ok", **self.service.snapshot()},
-                request_id=request_id)
+            return 200, {"status": "ok", **self.service.snapshot()}, ()
         if path == "/readyz" and method == "GET":
             ok, snapshot = self.service.ready()
-            return self._respond(
-                writer, 200 if ok else 503,
-                {"status": "ready" if ok else "not-ready", **snapshot},
-                request_id=request_id)
+            return (200 if ok else 503,
+                    {"status": "ready" if ok else "not-ready", **snapshot},
+                    ())
         if path == "/metrics" and method == "GET":
             if self.service.metrics is None:
-                return self._respond(
-                    writer, 404,
-                    {"error": "metrics disabled "
-                              "(server started with --no-metrics)"},
-                    request_id=request_id)
+                return 404, {"error": "metrics disabled "
+                                      "(server started with --no-metrics)"}, ()
             loop = asyncio.get_running_loop()
             # render takes the registry/admission locks; keep it off
             # the event loop like every other service call.
             text = await loop.run_in_executor(
                 None, self.service.render_metrics)
-            writer.write(_text_response(
-                200, text, (("X-Repro-Request-Id", request_id),)))
-            return 200
+            return 200, text, ()
         if path == "/v1/jobs":
             if method != "POST":
-                return self._respond(
-                    writer, 405, {"error": "submit with POST /v1/jobs"},
-                    request_id=request_id)
-            return await self._submit(body, writer, request_id)
+                return 405, {"error": "submit with POST /v1/jobs"}, ()
+            return await self._submit(body, request_id)
         if path.startswith("/v1/jobs/") and method == "GET":
             job_id = path[len("/v1/jobs/"):]
             if job_id.endswith("/events"):
                 return await self._events(
                     job_id[:-len("/events")].rstrip("/"), writer,
                     request_id)
-            return self._status(job_id, writer, request_id)
-        return self._respond(
-            writer, 404, {"error": f"no route for {method} {path}"},
-            request_id=request_id)
+            return self._status(job_id)
+        return 404, {"error": f"no route for {method} {path}"}, ()
 
-    async def _submit(self, body, writer, request_id):
+    async def _submit(self, body, request_id):
         try:
             payload = json.loads(body.decode() or "null")
         except (ValueError, UnicodeDecodeError):
-            return self._respond(
-                writer, 400, {"error": "request body is not valid JSON"},
-                request_id=request_id)
+            return 400, {"error": "request body is not valid JSON"}, ()
         client = payload.get("client") if isinstance(payload, dict) else None
         loop = asyncio.get_running_loop()
         # submit() parses and hashes the program off the event loop, so
         # a slow (or injected-slow) client never stalls its neighbours.
         status, doc, headers = await loop.run_in_executor(
             None, self.service.submit, payload, client, request_id)
-        return self._respond(writer, status, doc, headers.items(),
-                             request_id=request_id)
+        return status, doc, headers.items()
 
-    def _status(self, job_id, writer, request_id):
+    def _status(self, job_id):
         doc = self.service.job_status(job_id)
         if doc is None:
-            return self._respond(
-                writer, 404, {"error": f"unknown job {job_id!r}"},
-                request_id=request_id)
-        return self._respond(writer, 200, doc, request_id=request_id)
+            return 404, {"error": f"unknown job {job_id!r}"}, ()
+        return 200, doc, ()
 
     async def _events(self, job_id, writer, request_id):
         entry = self.service.registry.get(job_id)
         if entry is None:
-            return self._respond(
-                writer, 404, {"error": f"unknown job {job_id!r}"},
-                request_id=request_id)
+            return 404, {"error": f"unknown job {job_id!r}"}, ()
         loop = asyncio.get_running_loop()
         pending = asyncio.Queue()
 
@@ -836,7 +905,7 @@ class ServiceHTTP:
         finally:
             if live:
                 entry.unsubscribe(forward)
-        return 200
+        return 200, None, ()
 
 
 def run_server(service, host="127.0.0.1", port=0, *, banner=None,

@@ -184,6 +184,16 @@ def test_get_drops_invalid_in_memory_entry():
     assert cache.misses == 1 and cache.dropped == 1
 
 
+def test_membership_applies_get_validity_and_counts_nothing():
+    cache = DiskResultCache("/nonexistent/never-written.json",
+                            autosave=False, schema=("cycles",))
+    cache.put("good", {"cycles": 1})
+    cache._entries["bad"] = ["not", "a", "dict"]
+    assert "good" in cache
+    assert "bad" not in cache and "absent" not in cache
+    assert cache.counters()["hits"] == cache.counters()["misses"] == 0
+
+
 def test_stale_engine_entries_dropped(tmp_path):
     path = tmp_path / "cache.json"
     document = {"format": FILE_FORMAT, "entries": {

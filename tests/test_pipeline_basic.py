@@ -364,3 +364,26 @@ class TestSpeculationSafety:
             halt
         """)
         assert sim.mem(sim.program.symbol("guard")) == 123
+
+
+def test_finished_machine_is_freed_without_a_collection():
+    # A machine holds an 8 MB MainMemory: a reference cycle through it
+    # would keep every finished run alive until the next full GC.
+    import gc
+    import weakref
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = run_pipeline("""
+            li r4, 3
+        lp: addi r4, r4, -1
+            bnez r4, lp
+            halt
+        """, nthreads=2, fetch_policy=FetchPolicy.ICOUNT)
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -415,6 +415,7 @@ class _HttpHarness:
     def __init__(self, service, access_log=None):
         self.service = service
         self.access_log = access_log
+        self.clients = []
         self.http = None
         self._loop = None
         self._stopped = None
@@ -438,9 +439,13 @@ class _HttpHarness:
     def client(self, **kwargs):
         kwargs.setdefault("retries", 3)
         kwargs.setdefault("backoff", 0.05)
-        return ServiceClient("127.0.0.1", self.http.port, **kwargs)
+        client = ServiceClient("127.0.0.1", self.http.port, **kwargs)
+        self.clients.append(client)
+        return client
 
     def stop(self):
+        for client in self.clients:
+            client.close()
         if not self._thread.is_alive():
             return
         self.service.drain()
@@ -511,7 +516,9 @@ def test_concurrent_duplicate_clients_same_result(http_harness):
     def _one_client():
         try:
             barrier.wait(10)
-            doc = harness.client().run_job(_payload("LL2"))
+            client = harness.client()
+            doc = client.run_job(_payload("LL2"))
+            client.close()      # this thread's connection
             results.append(doc)
         except Exception as error:  # noqa: BLE001 — surfaced below
             errors.append(error)
@@ -729,6 +736,219 @@ def test_access_log_never_interleaves_with_live_progress():
     assert log.count == 2
 
 
+# ------------------------------------------------- persistent connections
+
+
+def _send(sock, request):
+    sock.sendall(request.encode("latin-1"))
+
+
+def _read_response(stream):
+    """``(status, headers, body)`` of one response read off ``stream``
+    (a socket's binary file), or ``None`` at end of stream."""
+    status_line = stream.readline()
+    if not status_line:
+        return None
+    headers = {}
+    while True:
+        line = stream.readline().decode("latin-1")
+        if line in ("\r\n", "\n", ""):
+            break
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers.get("content-length", 0)))
+    return int(status_line.split()[1]), headers, body
+
+
+def _raw_connection(harness):
+    import socket
+
+    sock = socket.create_connection(("127.0.0.1", harness.http.port),
+                                    timeout=10)
+    return sock, sock.makefile("rb")
+
+
+def test_two_requests_on_one_connection_get_two_responses(http_harness):
+    service, _ = _collecting_service()
+    harness = http_harness(service)
+    sock, stream = _raw_connection(harness)
+    with sock, stream:
+        for _ in range(2):
+            _send(sock, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            status, headers, body = _read_response(stream)
+            assert status == 200 and "connection" not in headers
+            assert json.loads(body)["status"] == "ok"
+
+
+@pytest.mark.parametrize("request_head", [
+    "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+    "GET /healthz HTTP/1.0\r\n\r\n",
+])
+def test_close_and_http10_requests_are_answered_then_closed(
+        http_harness, request_head):
+    service, _ = _collecting_service()
+    harness = http_harness(service)
+    sock, stream = _raw_connection(harness)
+    with sock, stream:
+        _send(sock, request_head)
+        status, headers, _ = _read_response(stream)
+        assert status == 200 and headers["connection"] == "close"
+        assert stream.read() == b""
+
+
+def test_http10_keep_alive_is_honoured(http_harness):
+    service, _ = _collecting_service()
+    harness = http_harness(service)
+    sock, stream = _raw_connection(harness)
+    with sock, stream:
+        for _ in range(2):
+            _send(sock, "GET /readyz HTTP/1.0\r\n"
+                        "Connection: keep-alive\r\n\r\n")
+            status, headers, _ = _read_response(stream)
+            assert status == 200
+            assert headers["connection"] == "keep-alive"
+
+
+def test_idle_connection_is_closed_after_the_deadline(http_harness,
+                                                      monkeypatch):
+    from repro.service import server
+
+    monkeypatch.setattr(server, "IDLE_TIMEOUT", 0.2)
+    service, _ = _collecting_service()
+    harness = http_harness(service)
+    sock, stream = _raw_connection(harness)
+    with sock, stream:
+        _send(sock, "GET /healthz HTTP/1.1\r\n\r\n")
+        assert _read_response(stream)[0] == 200
+        start = time.monotonic()
+        # A request that never finishes its headers counts as idle too.
+        _send(sock, "GET /healthz HTTP/1.1\r\n")
+        assert _read_response(stream) is None
+        assert 0.15 < time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_bad_content_length_is_a_400_and_closes(http_harness, length):
+    service, _ = _collecting_service()
+    harness = http_harness(service)
+    sock, stream = _raw_connection(harness)
+    with sock, stream:
+        _send(sock, f"POST /v1/jobs HTTP/1.1\r\n"
+                    f"Content-Length: {length}\r\n\r\n{{}}")
+        status, headers, body = _read_response(stream)
+        assert status == 400 and headers["connection"] == "close"
+        assert "Content-Length" in json.loads(body)["error"]
+        assert stream.read() == b""
+
+
+def test_metrics_method_label_is_bounded(http_harness):
+    from repro.obs.runtime import MetricsRegistry, parse_promtext
+
+    service, _ = _collecting_service(metrics=MetricsRegistry())
+    harness = http_harness(service)
+    sock, stream = _raw_connection(harness)
+    with sock, stream:
+        _send(sock, "BREW /pot HTTP/1.1\r\n\r\n")
+        assert _read_response(stream)[0] == 404
+    samples = parse_promtext(harness.client().metrics_text())
+    methods = {labels["method"]
+               for labels, _ in samples["repro_requests_total"]}
+    assert methods == {"other"}
+
+
+def test_dropped_kept_connection_is_resent_without_backoff(http_harness,
+                                                           monkeypatch):
+    from repro.service import server
+
+    monkeypatch.setattr(server, "IDLE_TIMEOUT", 0.1)
+    service, _ = _collecting_service()
+    harness = http_harness(service)
+    sleeps = []
+    client = harness.client(sleep=sleeps.append)
+    assert client.readiness()[0]
+    first = client._local.connection.sock
+    time.sleep(0.5)         # the server drops the idle connection
+    assert client.readiness()[0]
+    assert client._local.connection.sock is not first
+    assert sleeps == []
+
+
+def test_run_job_makes_one_round_trip_per_request(http_harness):
+    service, _ = _collecting_service()
+    harness = http_harness(service)
+    calls = []
+
+    class CountingClient(ServiceClient):
+        def _request(self, method, path, payload=None, request_id=None):
+            calls.append((method, path))
+            return super()._request(method, path, payload, request_id)
+
+        def stream(self, job_id, **kwargs):
+            calls.append(("GET", "events"))
+            yield from super().stream(job_id, **kwargs)
+
+    client = CountingClient("127.0.0.1", harness.http.port)
+    doc = client.run_job(_payload())
+    # first sight: one submit and the event stream, no status re-fetch
+    assert calls == [("POST", "/v1/jobs"), ("GET", "events")]
+    assert doc["state"] == "done"
+    assert set(doc) == set(client.status(doc["job_id"]))
+    # a coalesced repeat is one request on the connection already open
+    calls.clear()
+    kept = client._local.connection.sock
+    again = client.run_job(_payload())
+    assert calls == [("POST", "/v1/jobs")]
+    assert client._local.connection.sock is kept
+    assert again["result"] == doc["result"]
+    client.close()
+
+
+def test_cached_point_is_not_compiled_on_submission(tmp_path, monkeypatch):
+    from repro.harness.diskcache import DiskResultCache
+    from repro.lang import compiler
+    from repro.workloads import by_name
+
+    cache = DiskResultCache(tmp_path / "results.json",
+                            schema=Runner.RESULT_SCHEMA)
+    warm, _ = _collecting_service(disk_cache=cache)
+    _, doc, _ = warm.submit(_payload("LL5"))
+    assert warm.registry.get(doc["job_id"]).wait(120)
+    warm.drain()
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("a cached point was compiled")
+
+    monkeypatch.setattr(compiler, "compile_source", no_compile)
+    monkeypatch.setattr(by_name("LL5"), "_programs", {})
+    hits = cache.hits
+    service, _ = _collecting_service(disk_cache=cache)
+    status, doc, _ = service.submit(_payload("LL5"))
+    assert status == 202
+    assert service.registry.get(doc["job_id"]).wait(120)
+    status, doc, _ = service.submit(_payload("LL5"))
+    assert status == 200 and doc["state"] == "done" and doc["cached"]
+    assert cache.hits == hits + 1      # the membership test counts nothing
+    monkeypatch.undo()
+    # a point the cache does not hold still compiles, and still fails
+    status, doc, _ = service.submit(_payload("LL7", nthreads=8))
+    service.drain()
+    assert status == 400
+    assert "LL7 does not compile for 8 threads" in doc["error"]
+
+
+def test_close_with_an_idle_kept_connection_is_prompt(http_harness):
+    service, _ = _collecting_service()
+    harness = http_harness(service)
+    # Not the harness's client: stop() would close its connection first.
+    client = ServiceClient("127.0.0.1", harness.http.port)
+    assert client.readiness()[0]        # leaves its connection open
+    start = time.monotonic()
+    harness.stop()
+    assert time.monotonic() - start < 1.0
+    assert not harness._thread.is_alive()
+    client.close()
+
+
 # --------------------------------------------------- process-level drain
 
 
@@ -747,6 +967,7 @@ def test_sigterm_drains_server_and_accounting_reconciles(tmp_path):
         assert doc["state"] == "done"
         server.send_signal(signal.SIGTERM)
         out, _ = server.communicate(timeout=60)
+        client.close()
     finally:
         if server.poll() is None:
             server.kill()

@@ -28,6 +28,10 @@ completions match terminal events, admissions match HTTP submissions).
 The final scrape is written to ``--metrics-out`` and uploaded as a CI
 artifact next to the event log.
 
+Shutdown is audited too: one client holds an idle kept connection
+open through the SIGTERM drain, and the server must still exit within
+:data:`EXIT_LIMIT` seconds without printing ``Exception in callback``.
+
 Usage::
 
     PYTHONPATH=src python tools/service_chaos.py --events serve_events.jsonl
@@ -76,6 +80,10 @@ SUBMISSIONS = (
             "sweep_id": "chaos-drill"}),
 )
 
+#: Seconds the server may take to exit after SIGTERM once every client
+#: is done, with one idle kept connection still open.
+EXIT_LIMIT = 2.0
+
 
 def _plan():
     return (ServiceFaultPlan(seed=20260808)
@@ -105,13 +113,14 @@ def _drill(port, plan):
     barrier = threading.Barrier(len(SUBMISSIONS) + 1)  # +1: the scraper
 
     def _one(index, payload):
+        client = ServiceClient("127.0.0.1", port, retries=6, backoff=0.1)
         try:
             barrier.wait(30)
-            client = ServiceClient("127.0.0.1", port, retries=6,
-                                   backoff=0.1)
             docs[index] = client.run_job(payload, plan=plan, index=index)
         except Exception as error:  # noqa: BLE001 — reported below
             errors.append(f"client {index}: {error!r}")
+        finally:
+            client.close()
 
     threads = [threading.Thread(target=_one, args=spec)
                for spec in SUBMISSIONS]
@@ -262,9 +271,15 @@ def main(argv=None):
             final_scrape = ServiceClient("127.0.0.1", port).metrics_text()
         except Exception as error:  # noqa: BLE001 — reported below
             errors.append(f"post-drain scrape: {error!r}")
-        health = ServiceClient("127.0.0.1", port).health()
+        # This client's kept connection stays open, idle, through the
+        # drain: shutdown must close it rather than wait on it.
+        keeper = ServiceClient("127.0.0.1", port)
+        health = keeper.health()
         server.send_signal(signal.SIGTERM)
+        signalled = time.monotonic()
         out, _ = server.communicate(timeout=120)
+        exit_seconds = time.monotonic() - signalled
+        keeper.close()
     finally:
         if server.poll() is None:
             server.kill()
@@ -283,6 +298,12 @@ def main(argv=None):
         problems.append(f"server exited {server.returncode} after SIGTERM")
     if "drained" not in out:
         problems.append("server did not report a graceful drain")
+    if exit_seconds > EXIT_LIMIT:
+        problems.append(f"server took {exit_seconds:.1f} s to exit after "
+                        f"SIGTERM with an idle kept connection open "
+                        f"(limit {EXIT_LIMIT:g} s)")
+    if "Exception in callback" in out:
+        problems.append("server shutdown printed 'Exception in callback'")
     if problems:
         print(f"chaos drill: FAILED ({len(problems)} problems)",
               file=sys.stderr)
