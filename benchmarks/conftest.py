@@ -1,16 +1,18 @@
 """Shared fixtures for the per-figure benchmark suite.
 
-All benchmark modules share one memoizing Runner, so configurations
-common to several figures (e.g. the default 4-thread machine) are
-simulated once. Results accumulate in ``benchmarks/results.json`` for
-EXPERIMENTS.md.
+Before any figure test runs, the session simulates the union of every
+experiment's points (:data:`repro.harness.experiments.EXPERIMENTS`)
+once, in parallel, through :func:`~repro.harness.parallel.run_grid`
+into the session's result cache. The figure tests then share one
+memoizing Runner over that cache, so they only read results. Results
+accumulate in ``benchmarks/results.json`` for EXPERIMENTS.md.
 
-The Runner is additionally backed by a persistent disk cache
-(``benchmarks/.result_cache.json``), so a repeated session replays
-finished simulations from JSON — set ``REPRO_NO_DISK_CACHE=1`` to
-force everything to re-simulate. Entries key on the engine version,
-workload program content, and full configuration, so simulator or
-kernel changes invalidate them automatically.
+The cache is persistent (``benchmarks/.result_cache.json``), so a
+repeated session replays finished simulations from JSON — set
+``REPRO_NO_DISK_CACHE=1`` to force everything to re-simulate into a
+temporary cache instead. Entries key on the engine version, workload
+program content, and full configuration, so simulator or kernel changes
+invalidate them automatically.
 """
 
 import json
@@ -19,7 +21,9 @@ import pathlib
 
 import pytest
 
-from repro.harness import DiskResultCache, Runner
+from repro.harness import DiskResultCache, Runner, run_grid
+from repro.harness.experiments import EXPERIMENTS
+from repro.obs.ledger import config_fingerprint
 from repro.workloads import GROUP_I, GROUP_II
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results.json"
@@ -29,13 +33,31 @@ _results = {}
 _disk_cache = None
 
 
+def _prefill(cache):
+    """Simulate every declared experiment's points into ``cache``."""
+    grids = {False: {}, True: {}}
+    for experiment in EXPERIMENTS.values():
+        for label, config in experiment.columns():
+            grid = grids[label in experiment.aligned]
+            for name in experiment.workload_names():
+                grid.setdefault((name, config_fingerprint(config)),
+                                (name, config))
+    for aligned, grid in grids.items():
+        run_grid(list(grid.values()), workers=os.cpu_count(),
+                 disk_cache=cache, aligned=aligned, strict=True)
+
+
 @pytest.fixture(scope="session")
-def runner():
+def runner(tmp_path_factory):
     global _disk_cache
     if os.environ.get("REPRO_NO_DISK_CACHE") == "1":
-        return Runner()
-    _disk_cache = DiskResultCache(CACHE_PATH, autosave=False)
-    return Runner(disk_cache=_disk_cache)
+        cache = DiskResultCache(
+            tmp_path_factory.mktemp("cache") / "results.json",
+            autosave=False)
+    else:
+        cache = _disk_cache = DiskResultCache(CACHE_PATH, autosave=False)
+    _prefill(cache)
+    return Runner(disk_cache=cache)
 
 
 @pytest.fixture(scope="session")

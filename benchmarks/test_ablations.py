@@ -6,31 +6,18 @@
 """
 
 from benchmarks.conftest import record
-from repro.core import MachineConfig
-from repro.harness import format_table
-
-_ABLATION_WORKLOAD_NAMES = ("LL1", "LL7", "Water", "Laplace")
+from repro.harness import experiment_cycles, format_table
 
 
-def _subset(group1, group2):
-    pool = {w.name: w for w in group1 + group2}
-    return [pool[name] for name in _ABLATION_WORKLOAD_NAMES]
+def _totals(runner, name, key=str):
+    """Total cycles over the ablation's workloads, per ``key(column)``."""
+    return {key(label): sum(cycles.values())
+            for label, cycles in experiment_cycles(runner, name).items()}
 
 
-def _total_cycles(runner, workloads, config):
-    return sum(runner.run(w, config).cycles for w in workloads)
-
-
-def test_ablation_commit_window_depth(benchmark, runner, group1, group2):
-    workloads = _subset(group1, group2)
-
-    def run():
-        return {depth: _total_cycles(
-                    runner, workloads,
-                    MachineConfig(nthreads=4, commit_blocks=depth))
-                for depth in (1, 2, 4, 8)}
-
-    totals = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_commit_window_depth(benchmark, runner):
+    totals = benchmark.pedantic(
+        lambda: _totals(runner, "commit_depth", int), rounds=1, iterations=1)
     rows = [[f"window {d}", totals[d]] for d in sorted(totals)]
     print()
     print(format_table("Ablation: flexible-commit window depth "
@@ -48,20 +35,10 @@ def test_ablation_commit_window_depth(benchmark, runner, group1, group2):
     assert gain_4_to_8 <= gain_1_to_4
 
 
-def test_ablation_shared_vs_private_predictor(benchmark, runner, group1,
-                                              group2):
-    workloads = _subset(group1, group2)
-
-    def run():
-        shared = _total_cycles(runner, workloads,
-                               MachineConfig(nthreads=4,
-                                             shared_predictor=True))
-        private = _total_cycles(runner, workloads,
-                                MachineConfig(nthreads=4,
-                                              shared_predictor=False))
-        return shared, private
-
-    shared, private = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_shared_vs_private_predictor(benchmark, runner):
+    totals = benchmark.pedantic(lambda: _totals(runner, "predictor"),
+                                rounds=1, iterations=1)
+    shared, private = totals["shared"], totals["private"]
     print()
     print(format_table("Ablation: shared vs per-thread predictor/BTB",
                        ["config", "cycles"],
@@ -75,16 +52,9 @@ def test_ablation_shared_vs_private_predictor(benchmark, runner, group1,
     assert abs(shared - private) / private < 0.10
 
 
-def test_ablation_store_buffer_depth(benchmark, runner, group1, group2):
-    workloads = _subset(group1, group2)
-
-    def run():
-        return {depth: _total_cycles(
-                    runner, workloads,
-                    MachineConfig(nthreads=4, store_buffer_depth=depth))
-                for depth in (4, 8, 16)}
-
-    totals = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_store_buffer_depth(benchmark, runner):
+    totals = benchmark.pedantic(
+        lambda: _totals(runner, "store_buffer", int), rounds=1, iterations=1)
     rows = [[f"{d} entries", totals[d]] for d in sorted(totals)]
     print()
     print(format_table("Ablation: store-buffer depth", ["config", "cycles"],
@@ -98,19 +68,10 @@ def test_ablation_store_buffer_depth(benchmark, runner, group1, group2):
     assert (totals[8] - totals[16]) <= (totals[4] - totals[8]) + 50
 
 
-def test_ablation_cache_ports(benchmark, runner, group1, group2):
+def test_ablation_cache_ports(benchmark, runner):
     """Paper improvement #1: 'employ more cache ports'."""
-    from repro.mem.cache import CacheConfig
-    workloads = _subset(group1, group2)
-
-    def run():
-        out = {}
-        for ports in (1, 2, 4):
-            config = MachineConfig(nthreads=4, cache=CacheConfig(ports=ports))
-            out[ports] = _total_cycles(runner, workloads, config)
-        return out
-
-    totals = benchmark.pedantic(run, rounds=1, iterations=1)
+    totals = benchmark.pedantic(
+        lambda: _totals(runner, "cache_ports", int), rounds=1, iterations=1)
     rows = [[f"{p} port(s)", totals[p]] for p in sorted(totals)]
     print()
     print(format_table("Ablation: cache ports (paper improvement #1)",
@@ -123,21 +84,10 @@ def test_ablation_cache_ports(benchmark, runner, group1, group2):
     assert totals[4] <= totals[2] * 1.005
 
 
-def test_ablation_masked_rr_criterion(benchmark, runner, group1, group2):
+def test_ablation_masked_rr_criterion(benchmark, runner):
     """Masking criterion variants for Masked RR (DESIGN.md Section 6)."""
-    from repro.core import FetchPolicy
-    workloads = _subset(group1, group2)
-
-    def run():
-        out = {}
-        for criterion in ("commit_stall", "long_latency"):
-            config = MachineConfig(nthreads=4,
-                                   fetch_policy=FetchPolicy.MASKED_RR,
-                                   masked_criterion=criterion)
-            out[criterion] = _total_cycles(runner, workloads, config)
-        return out
-
-    totals = benchmark.pedantic(run, rounds=1, iterations=1)
+    totals = benchmark.pedantic(lambda: _totals(runner, "masked_criterion"),
+                                rounds=1, iterations=1)
     rows = [[k, v] for k, v in sorted(totals.items())]
     print()
     print(format_table("Ablation: Masked-RR masking criterion",
@@ -151,21 +101,10 @@ def test_ablation_masked_rr_criterion(benchmark, runner, group1, group2):
     assert 0.85 <= ratio <= 1.15
 
 
-def test_ablation_instruction_cache(benchmark, runner, group1, group2):
+def test_ablation_instruction_cache(benchmark, runner):
     """The paper assumes a perfect I-cache; quantify that assumption."""
-    from repro.mem.cache import CacheConfig
-    workloads = _subset(group1, group2)
-
-    def run():
-        out = {"perfect": _total_cycles(runner, workloads,
-                                        MachineConfig(nthreads=4))}
-        for size in (512, 2048):
-            config = MachineConfig(nthreads=4,
-                                   icache=CacheConfig(size_bytes=size))
-            out[f"{size}B"] = _total_cycles(runner, workloads, config)
-        return out
-
-    totals = benchmark.pedantic(run, rounds=1, iterations=1)
+    totals = benchmark.pedantic(lambda: _totals(runner, "icache"),
+                                rounds=1, iterations=1)
     rows = [[k, v] for k, v in totals.items()]
     print()
     print(format_table("Ablation: instruction cache (paper assumes perfect)",

@@ -12,23 +12,16 @@
 """
 
 from benchmarks.conftest import record
-from repro.core import FetchPolicy, MachineConfig
-from repro.harness import format_table
+from repro.harness import experiment_cycles, format_table
 
 
 def test_extension_icount_policy(benchmark, runner, group1, group2):
     workloads = group1 + group2
     names = [w.name for w in workloads]
 
-    def run():
-        out = {}
-        for policy in (FetchPolicy.TRUE_RR, FetchPolicy.ICOUNT):
-            config = MachineConfig(nthreads=4, fetch_policy=policy)
-            out[policy.value] = {w.name: runner.run(w, config).cycles
-                                 for w in workloads}
-        return out
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+    series = benchmark.pedantic(
+        lambda: experiment_cycles(runner, "icount", workloads),
+        rounds=1, iterations=1)
     rows = [[name, series["true_rr"][name], series["icount"][name],
              f"{series['true_rr'][name] / series['icount'][name] - 1:+.1%}"]
             for name in names]
@@ -53,14 +46,9 @@ def test_extension_branch_target_alignment(benchmark, runner, group1,
     workloads = group1 + group2
     names = [w.name for w in workloads]
 
-    def run():
-        config = MachineConfig(nthreads=4)
-        plain = {w.name: runner.run(w, config).cycles for w in workloads}
-        aligned = {w.name: runner.run(w, config, aligned=True).cycles
-                   for w in workloads}
-        return {"plain": plain, "aligned": aligned}
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
+    series = benchmark.pedantic(
+        lambda: experiment_cycles(runner, "alignment", workloads),
+        rounds=1, iterations=1)
     rows = [[name, series["plain"][name], series["aligned"][name],
              f"{series['plain'][name] / series['aligned'][name] - 1:+.1%}"]
             for name in names]

@@ -30,10 +30,12 @@ Commands
     counts and checksum are bit-identical to the pins and its profiled
     calls are at most 30% above the pinned count (``--update``
     re-pins).
-``report --experiment {threads,fetch,su,cache}``
-    Re-run one paper experiment grid through the ledger and render the
-    corresponding EXPERIMENTS.md table from ledger data (``--csv`` for
-    a machine-readable copy). ``--live`` shows a one-line progress
+``report --experiment NAME``
+    Re-run one experiment grid declared in ``repro.harness.experiments``
+    (the paper's Figures 3-14 and the beyond-paper ablations; ``--help``
+    lists the names) through the ledger and render the corresponding
+    EXPERIMENTS.md table from ledger data (``--csv`` writes a
+    machine-readable copy). ``--live`` shows a one-line progress
     view, ``--events``/``--trace`` record the sweep's telemetry as a
     JSONL event log and a Perfetto timeline, and ``--sweep ID``
     renders a *finished* sweep's table without re-simulating.
@@ -71,6 +73,7 @@ import time
 # imports the rest (the compiler, the engine, the pool) when it runs,
 # so ``repro report`` on a warm cache never loads them.
 from repro.core.config import CommitPolicy, FetchPolicy
+from repro.harness.experiments import REPORT_EXPERIMENTS
 from repro.workloads import ALL_WORKLOADS, BY_NAME
 
 _MINIC_SUFFIXES = (".mc", ".c", ".minic")
@@ -843,8 +846,8 @@ def build_parser():
     p_report = sub.add_parser(
         "report", help="regenerate a paper figure's table from the ledger")
     p_report.add_argument("--experiment", required=True,
-                          choices=["threads", "fetch", "su", "cache"],
-                          help="which paper experiment to regenerate")
+                          choices=REPORT_EXPERIMENTS,
+                          help="which experiment to regenerate")
     p_report.add_argument("--workloads", nargs="+", metavar="NAME",
                           help="workload subset (default: all paper "
                                "workloads)")

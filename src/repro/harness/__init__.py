@@ -1,11 +1,13 @@
-"""Experiment harness: drivers that regenerate every table and figure.
+"""Experiment harness: declared experiments, drivers, runner and tables.
 
-Each function in :mod:`repro.harness.experiments` corresponds to one
-section of the paper's evaluation and returns plain data structures;
+:mod:`repro.harness.experiments` declares every experiment once, as
+data — the paper's Figures 3-14, Tables 2-3 and Section 5.2 summary,
+plus the beyond-paper ablations — and its drivers return plain data
+structures keyed the way the paper's figures are organized;
 :mod:`repro.harness.tables` renders them as the tables/series the paper
 reports. Runs are memoized per (workload, configuration) so experiments
 that share a configuration (e.g. the single-threaded base case) reuse
-results.
+results, and :func:`run_grid` simulates a whole grid in parallel.
 """
 
 from repro._lazy import lazy_exports
@@ -15,9 +17,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "diskcache": ("CacheCorruptionWarning", "DiskResultCache"),
     "parallel": ("GridError", "GridInterrupted", "JobFailure", "cross",
                  "default_workers", "run_grid"),
-    "experiments": ("cache_study", "commit_study", "fetch_policy_study",
-                    "fu_study", "fu_usage_study", "speedup_summary",
-                    "su_depth_study", "thread_sweep"),
+    "experiments": ("cache_study", "commit_study", "experiment_cycles",
+                    "fetch_policy_study", "fu_study", "fu_usage_study",
+                    "speedup_summary", "su_depth_study", "thread_sweep"),
     "tables": ("format_table", "series_table"),
 })
 
@@ -33,6 +35,7 @@ __all__ = [
     "commit_study",
     "cross",
     "default_workers",
+    "experiment_cycles",
     "fetch_policy_study",
     "format_table",
     "fu_study",

@@ -96,10 +96,10 @@ def test_missing_source_file_exits_2(capsys):
 
 
 def test_report_point_that_does_not_compile_exits_2(capsys):
-    # LL7 runs out of registers at 8 threads, inside the default 1-8
-    # thread range: one line naming the point, not a traceback.
+    # LL7 runs out of registers at 8 threads: one line naming the
+    # point, not a traceback.
     assert main(["report", "--experiment", "threads", "--workloads",
-                 "LL7", "--workers", "1"]) == 2
+                 "LL7", "--threads", "1", "8", "--workers", "1"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "LL7 does not compile for 8 threads" in err

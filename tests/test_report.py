@@ -1,9 +1,12 @@
 """repro diff rendering and repro report ledger-driven tables."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.config import MachineConfig
-from repro.obs.ledger import RunLedger, make_record
+from repro.obs.ledger import RunLedger, config_fingerprint, make_record
 from repro.obs.report import build_experiment, render_diff, run_report
 
 T0 = "2026-01-01T00:00:00+00:00"
@@ -82,9 +85,98 @@ def test_build_experiment_fetch_has_base_case():
     assert len(base) == 1 and base[0].nthreads == 1
 
 
+#: sha256 of ``[title, kind, columns, [[workload, config fingerprint,
+#: label], ...]]`` per (experiment, --threads, workloads) — the grids
+#: ``bench/run.py`` pins its tables and labels (``fetch/BaseCase``) on.
+COLD = ("LL5", "MPD", "Water")
+GRID_PINS = [
+    ("threads", (1, 2, 3, 4, 5, 6), None, 66,
+     "047dd31f08da0f3d2a40c4c92f552f6c8309c69f44eed3cec08b8aa7acbcc36b"),
+    ("fetch", None, None, 44,
+     "0f279f0c6e635220581498355cd504e5b850bf908a5dce402f22b449e2dcca14"),
+    ("su", None, None, 88,
+     "1d782ffda9a72a7a00afa67fc463c79b44a7aa5f40d7441d9e76033b3bd84535"),
+    ("cache", None, None, 88,
+     "b8bf9e4c513dcc7381aa0aac8e569b428bef9393cd15933c177f5f030d43caf0"),
+    ("threads", (1, 2, 3, 4, 5, 6), COLD, 18,
+     "4465b04e967a5e199a3e8faa1e7bca2f5fa516994b7c2717a86ea05b5f08de9c"),
+    ("fetch", None, COLD, 12,
+     "f7268ae6a3a440cee04e8bbdedb2678bce524d7868f249908090ea3a205d6acb"),
+    ("su", None, COLD, 24,
+     "cfeb80ad3859ba90a2fbaecd3d3559befaaac241e807c3721ccdf8ff4ba48d4d"),
+    ("cache", None, COLD, 24,
+     "f2d5600c5a9131c77f0ca51b6a96d952cc92058f13f213f0ffe6822eec6c3bd8"),
+]
+
+
+@pytest.mark.parametrize("name,threads,workloads,count,pin", GRID_PINS)
+def test_build_experiment_grids_are_pinned(name, threads, workloads, count,
+                                           pin):
+    title, kind, columns, jobs = build_experiment(name, workloads, threads)
+    doc = [title, kind, list(columns),
+           [[wname, config_fingerprint(config), label]
+            for wname, config, label in jobs]]
+    assert len(jobs) == count
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == pin
+
+
 def test_build_experiment_unknown_name():
     with pytest.raises(ValueError, match="unknown experiment"):
         build_experiment("bogus")
+
+
+def test_build_experiment_threads_defaults_to_the_paper_range():
+    _, _, columns, _ = build_experiment("threads", workloads=["LL7"])
+    assert columns == ["1T", "2T", "3T", "4T", "5T", "6T"]
+
+
+def test_build_experiment_fu_grid():
+    title, kind, columns, jobs = build_experiment("fu", workloads=["LL2"])
+    assert kind == "cycles" and "functional units" in title
+    assert columns == ["1T/default", "1T/enhanced",
+                       "4T/default", "4T/enhanced"]
+    enhanced = [c for _, c, label in jobs if label == "4T/enhanced"][0]
+    default = [c for _, c, label in jobs if label == "4T/default"][0]
+    assert enhanced.nthreads == 4
+    assert sum(enhanced.fu_counts.values()) > sum(default.fu_counts.values())
+
+
+def test_build_experiment_commit_grid():
+    title, kind, columns, jobs = build_experiment(
+        "commit", workloads=["LL2", "MPD"], threads=(2,))
+    assert kind == "cycles" and "2 threads" in title
+    assert columns == ["Multiple", "Lowest"]
+    assert [(w, c.nthreads, c.commit_policy.value, label)
+            for w, c, label in jobs] == [
+        ("LL2", 2, "flexible", "Multiple"),
+        ("LL2", 2, "lowest_only", "Lowest"),
+        ("MPD", 2, "flexible", "Multiple"),
+        ("MPD", 2, "lowest_only", "Lowest")]
+
+
+@pytest.mark.parametrize("name", ["fetch", "commit", "predictor"])
+def test_single_machine_experiment_rejects_several_thread_counts(name):
+    with pytest.raises(ValueError, match="give one thread count, not 2"):
+        build_experiment(name, workloads=["LL2"], threads=(2, 4))
+
+
+def test_report_cli_rejects_several_thread_counts_for_one_machine(
+        tmp_path, capsys):
+    from repro.cli import main
+
+    assert main(["report", "--experiment", "fetch", "--threads", "2", "4",
+                 "--workloads", "LL2",
+                 "--ledger", str(tmp_path / "ledger.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "one thread count" in err
+    assert not (tmp_path / "ledger.jsonl").exists()
+
+
+def test_alignment_experiment_is_not_reportable():
+    # Ledger records do not key on alignment, so its two columns would
+    # read the same record.
+    with pytest.raises(ValueError, match="unknown experiment"):
+        build_experiment("alignment")
 
 
 def test_run_report_renders_from_ledger(tmp_path):

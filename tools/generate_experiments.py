@@ -3,19 +3,21 @@
 
 Run the benchmark suite first::
 
-    pytest benchmarks/ --benchmark-only -s
-    python tools/generate_experiments.py
+    PYTHONPATH=src pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src python tools/generate_experiments.py
 """
 
 import json
 import pathlib
 
+from repro.workloads import GROUP_I, GROUP_II
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "benchmarks" / "results.json"
 OUTPUT = ROOT / "EXPERIMENTS.md"
 
-GROUP1 = ["LL1", "LL2", "LL3", "LL5", "LL7", "LL12"]
-GROUP2 = ["Laplace", "MPD", "Matrix", "Sieve", "Water"]
+GROUP1 = [w.name for w in GROUP_I]
+GROUP2 = [w.name for w in GROUP_II]
 
 
 def table(headers, rows):
