@@ -142,7 +142,7 @@ def _ledger_append(args, *, source, workload, config, stats, program=None,
         timestamp=ledger_mod.utc_now_iso(),
         program_hash=program_hash(program) if program is not None else None,
         checksum=checksum, verified=verified, wall_seconds=wall_seconds,
-        sweep_id=sweep_id)
+        aligned=getattr(args, "align", False), sweep_id=sweep_id)
     try:
         ledger_mod.RunLedger(args.ledger).append(record)
     except OSError as error:
@@ -361,7 +361,7 @@ def cmd_stats(args):
             source="cli.stats", workload=args.prog, config=config,
             stats=stats, timestamp=ledger_mod.utc_now_iso(),
             program_hash=program_hash(program), wall_seconds=wall,
-            keep_interval_metrics=True)
+            aligned=args.align, keep_interval_metrics=True)
         print(json.dumps(record, indent=2, sort_keys=True))
         return 0
     print(stats.summary())

@@ -328,8 +328,11 @@ class DiskResultCache:
                                            prefix=self.path.name,
                                            suffix=".tmp")
                 try:
+                    # One dumps, not a streaming dump: only dumps uses
+                    # the C encoder, and the bytes are the same.
+                    text = json.dumps(document, sort_keys=True)
                     with os.fdopen(fd, "w") as handle:
-                        json.dump(document, handle, sort_keys=True)
+                        handle.write(text)
                     os.replace(tmp, self.path)
                 except BaseException:
                     try:

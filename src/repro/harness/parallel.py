@@ -679,7 +679,7 @@ class _GridExecutor:
 
 
 def _ledger_append(ledger, resolved, results, cached_indices, timestamp,
-                   sweep_id=None, request_ids=None):
+                   aligned=False, sweep_id=None, request_ids=None):
     """Append one ledger record per successful grid result.
 
     Records are sorted by ``(workload, config_fingerprint)`` — not by
@@ -704,7 +704,7 @@ def _ledger_append(ledger, resolved, results, cached_indices, timestamp,
             stats=result.stats, timestamp=timestamp,
             program_hash=result.program_hash, checksum=result.checksum,
             verified=result.verified, wall_seconds=result.wall_seconds,
-            cached=index in cached_indices,
+            cached=index in cached_indices, aligned=aligned,
             sweep_id=sweep_id,
             request_id=(request_ids.get(index)
                         if request_ids is not None else None))
@@ -726,7 +726,10 @@ def run_grid(jobs, workers=None, verify=True, disk_cache=None,
     ----------
     jobs:
         Iterable of ``(workload, config)`` pairs; the workload may be a
-        workload object or its name.
+        workload object or its name. With a ``disk_cache``, slots
+        with the same cache key are one point: it runs once, every slot
+        naming it gets its result, and telemetry and the ledger see it
+        once, under its first slot.
     workers:
         Process count (default :func:`default_workers`, which honours
         ``REPRO_WORKERS``). ``1`` runs inline without spawning a pool —
@@ -836,26 +839,34 @@ def run_grid(jobs, workers=None, verify=True, disk_cache=None,
         sweep_id = telemetry.sweep_id
 
     resolved = []
-    for workload, config in jobs:
+    keys = []       # grid index -> its disk-cache key
+    owner = []      # grid index -> the first slot with the same key
+    first = {}
+    for index, (workload, config) in enumerate(jobs):
         if isinstance(workload, str):
             workload = by_name(workload)
         config.validate()
         resolved.append((workload, config))
+        key = (None if disk_cache is None
+               else _job_key(workload, config, aligned, instrument))
+        keys.append(key)
+        owner.append(index if key is None else first.setdefault(key, index))
     if workers is None:
         workers = default_workers()
     if telemetry is not None:
-        telemetry.sweep_start(total=len(resolved), workers=workers)
+        telemetry.sweep_start(total=len(set(owner)), workers=workers)
 
     rebuilder = Runner(verify=verify)
     results = [None] * len(resolved)
     cached_indices = set()
     pending = []  # _Job records for uncached work
     for index, (workload, config) in enumerate(resolved):
-        key = None
+        if owner[index] != index:
+            continue
+        key = keys[index]
         if telemetry is not None:
             telemetry.job_queued(index, workload.name)
         if disk_cache is not None:
-            key = _job_key(workload, config, aligned, instrument)
             payload = disk_cache.get(key)
             if payload is not None:
                 results[index] = rebuilder._from_payload(
@@ -869,37 +880,34 @@ def run_grid(jobs, workers=None, verify=True, disk_cache=None,
         # fork-started workers inherit the decoded program.
         decoded_program(workload, config.nthreads, aligned=aligned)
         pending.append(_Job(index, key, workload.name, config.to_spec()))
-    if not pending:
-        if ledger is not None:
-            _ledger_append(ledger, resolved, results, cached_indices,
-                           ledger_timestamp, sweep_id, request_ids)
-        if telemetry is not None:
-            telemetry.sweep_end(cache=(disk_cache.counters()
-                                       if disk_cache is not None else None))
-        return results
 
-    interrupt = _InterruptGuard.install()
-    executor = _GridExecutor(
-        width=min(max(1, workers), len(pending)), timeout=timeout,
-        retries=max(0, retries), backoff=backoff, verify=verify,
-        aligned=aligned, instrument=instrument, fault_plan=fault_plan,
-        disk_cache=disk_cache, rebuilder=rebuilder, resolved=resolved,
-        results=results, telemetry=telemetry, interrupt=interrupt)
-    try:
-        if workers <= 1:
-            failures = executor.run_inline(pending)
-        else:
-            failures = executor.run_pool(pending)
-    finally:
-        if interrupt is not None:
-            interrupt.restore()
+    failures = []
+    executor = interrupt = None
+    if pending:
+        interrupt = _InterruptGuard.install()
+        executor = _GridExecutor(
+            width=min(max(1, workers), len(pending)), timeout=timeout,
+            retries=max(0, retries), backoff=backoff, verify=verify,
+            aligned=aligned, instrument=instrument, fault_plan=fault_plan,
+            disk_cache=disk_cache, rebuilder=rebuilder, resolved=resolved,
+            results=results, telemetry=telemetry, interrupt=interrupt)
+        try:
+            if workers <= 1:
+                failures = executor.run_inline(pending)
+            else:
+                failures = executor.run_pool(pending)
+        finally:
+            if interrupt is not None:
+                interrupt.restore()
     if ledger is not None:
         _ledger_append(ledger, resolved, results, cached_indices,
-                       ledger_timestamp, sweep_id, request_ids)
+                       ledger_timestamp, aligned, sweep_id, request_ids)
+    for index, source in enumerate(owner):
+        results[index] = results[source]
     if telemetry is not None:
         telemetry.sweep_end(cache=(disk_cache.counters()
                                    if disk_cache is not None else None))
-    if executor.interrupted:
+    if executor is not None and executor.interrupted:
         raise GridInterrupted(failures, results,
                               interrupt.fired if interrupt else None)
     if strict and failures:

@@ -19,6 +19,9 @@ result to everything that produced it:
 * **wall-clock throughput** (simulated cycles per host second) when
   the run was actually timed, and a ``cached`` marker when it was
   replayed from the disk cache;
+* an ``aligned`` marker when the program was compiled with
+  branch-target alignment, which ``repro report`` never mixes with
+  plain runs;
 * a **timestamp supplied by the caller** — the ledger itself never
   reads the clock when building a record, so tests and replays are
   deterministic.
@@ -169,9 +172,9 @@ def summarize_metrics(interval_metrics):
 
 def make_record(*, source, workload, config, stats, timestamp,
                 program_hash=None, checksum=None, verified=None,
-                wall_seconds=None, cached=False, engine_version=None,
-                keep_interval_metrics=False, sweep_id=None,
-                request_id=None):
+                wall_seconds=None, cached=False, aligned=False,
+                engine_version=None, keep_interval_metrics=False,
+                sweep_id=None, request_id=None):
     """Build one ledger record (a plain JSON-serializable dict).
 
     ``stats`` is a :class:`~repro.core.stats.SimStats` or its
@@ -187,7 +190,10 @@ def make_record(*, source, workload, config, stats, timestamp,
     for every record written before sweeps existed. ``request_id`` is
     the correlation id of the service request that commissioned the
     run (``X-Repro-Request-Id``) — one grep joins the HTTP access log,
-    the telemetry event stream, and this record.
+    the telemetry event stream, and this record. ``aligned`` marks a
+    run of the program compiled with branch-target alignment: a
+    different point from the plain run under the same config
+    fingerprint.
     """
     spec = config.to_spec() if hasattr(config, "to_spec") else dict(config)
     counters = dict(stats if isinstance(stats, dict) else stats.to_dict())
@@ -221,6 +227,7 @@ def make_record(*, source, workload, config, stats, timestamp,
         "checksum": checksum,
         "verified": verified,
         "cached": bool(cached),
+        "aligned": bool(aligned),
         "sweep_id": sweep_id,
         "request_id": request_id,
     }
@@ -260,6 +267,9 @@ def _parse(line):
     record.setdefault("sweep_id", None)
     # Pre-service records were never commissioned over HTTP.
     record.setdefault("request_id", None)
+    # Records written before alignment was recorded read as plain runs,
+    # which most of them are; the few aligned ones cannot be told apart.
+    record.setdefault("aligned", False)
     return record
 
 
@@ -413,15 +423,19 @@ class RunLedger:
         experiment appends fresh records, and the report always reflects
         the latest measurement of each grid point. ``sweep`` restricts
         the selection to records stamped with that ``sweep_id``.
-        ``keys`` restricts it to those pairs, and the read stops as soon
-        as each has been found, so its cost follows the keys, not the
-        length of the history; ``None`` reads the whole file.
+        Only plain runs answer: an ``aligned`` record shares its
+        point's key but measures a different program. ``keys``
+        restricts the selection to those pairs, and the read stops as
+        soon as each has been found, so its cost follows the keys, not
+        the length of the history; ``None`` reads the whole file.
         """
         wanted = None if keys is None else set(keys)
         latest = {}
         if wanted == set():
             return latest
         for record in self._newest_first(sweep):
+            if record["aligned"]:
+                continue
             key = (record["workload"], record["config_fingerprint"])
             if key in latest or (wanted is not None and key not in wanted):
                 continue

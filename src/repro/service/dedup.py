@@ -200,9 +200,8 @@ class JobRegistry:
         entry is replaced by a fresh entry so resubmission retries it.
         """
         with self._lock:
-            entry = self._entries.get(request.job_id)
-            if entry is not None and entry.state != FAILED:
-                entry.coalesce()
+            entry = self._reuse(request.job_id)
+            if entry is not None:
                 return entry, False, None
             if admit is not None:
                 ok, retry_after = admit()
@@ -213,6 +212,21 @@ class JobRegistry:
             self._entries[request.job_id] = entry
             self._order.append(entry)
             return entry, True, None
+
+    def coalesce(self, job_id):
+        """Coalesce one submission onto the live or ``done`` entry for
+        ``job_id`` and return it; ``None`` (nothing counted) when there
+        is no such entry — unknown, or ``failed`` and due a retry."""
+        with self._lock:
+            return self._reuse(job_id)
+
+    def _reuse(self, job_id):
+        # Caller holds the lock.
+        entry = self._entries.get(job_id)
+        if entry is None or entry.state == FAILED:
+            return None
+        entry.coalesce()
+        return entry
 
     def get(self, job_id):
         with self._lock:

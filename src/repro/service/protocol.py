@@ -45,9 +45,13 @@ against the cached truth.
 ``request_id`` is the correlation id threaded through the stack
 (access log, telemetry events, ledger record); clients usually send it
 as the ``X-Repro-Request-Id`` header, but the payload field wins when
-both are present. Like ``chaos`` it is *excluded* from the job id —
-tracing identity never changes simulation identity.
+both are present. It must match :data:`REQUEST_ID`: a payload field
+that does not is refused with a 400, and a header that does not is
+replaced by a server-minted id. Like ``chaos`` it is *excluded* from
+the job id — tracing identity never changes simulation identity.
 """
+
+import re
 
 from repro.asm import AsmError
 from repro.core import MachineConfig
@@ -57,6 +61,10 @@ from repro.workloads import BY_NAME, by_name
 
 #: FaultPlan rule builders a submission may invoke via ``chaos``.
 CHAOS_RULES = ("crash", "hang", "fail")
+
+#: What a correlation id may be: short, and safe to echo in a header
+#: and write to logs and the ledger as it is.
+REQUEST_ID = re.compile(r"[A-Za-z0-9._-]{1,64}")
 
 _REQUEST_FIELDS = ("workload", "config", "aligned", "instrument",
                    "sweep_id", "client", "request_id", "chaos")
@@ -178,8 +186,9 @@ def parse_job_request(payload, allow_chaos=False, known=None):
              "client must be a string")
     request_id = payload.get("request_id")
     _require(request_id is None
-             or (isinstance(request_id, str) and request_id),
-             "request_id must be a non-empty string")
+             or (isinstance(request_id, str)
+                 and REQUEST_ID.fullmatch(request_id)),
+             "request_id must be 1-64 of the characters A-Z a-z 0-9 . _ -")
 
     chaos = payload.get("chaos")
     if chaos is not None:

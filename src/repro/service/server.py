@@ -52,7 +52,8 @@ import uuid
 from repro.harness.parallel import default_workers, run_grid
 from repro.harness.runner import Runner
 from repro.service.dedup import DONE, FAILED, JobRegistry
-from repro.service.protocol import ProtocolError, parse_job_request
+from repro.service.protocol import (REQUEST_ID, ProtocolError,
+                                    parse_job_request)
 from repro.service.queue import AdmissionController
 
 #: Inner run_grid events not forwarded to the service stream: the
@@ -256,6 +257,8 @@ class JobService:
         self._stop = threading.Event()
         self._threads = []
         self._emit_lock = threading.Lock()
+        self._settling = threading.Condition()
+        self._inline = 0        # cached jobs being settled by submit()
 
     # ------------------------------------------------------------ telemetry
 
@@ -309,6 +312,11 @@ class JobService:
         for thread in self._threads:
             thread.join(None if deadline is None
                         else max(deadline - time.monotonic(), 0.0))
+        with self._settling:
+            self._settling.wait_for(
+                lambda: not self._inline,
+                None if deadline is None
+                else max(deadline - time.monotonic(), 0.0))
         if self._threads and not any(t.is_alive() for t in self._threads):
             # Belt and braces: the queue is drained, so nothing should
             # still be open — but a dispatcher that died mid-job must
@@ -328,18 +336,26 @@ class JobService:
 
     # ------------------------------------------------------------ admission
 
-    def submit(self, payload, client=None, request_id=None):
+    def submit(self, payload, client=None, request_id=None, job_id=None):
         """Admit one submission; returns ``(status, doc, headers)``.
 
         202 queued (or coalesced onto a live job), 200 already
         terminal, 400/403 protocol errors, 429 backpressure with
-        ``Retry-After``, 503 draining.
+        ``Retry-After``, 503 draining. A new job whose point the disk
+        cache holds is settled here, in the calling thread, through
+        the same one-job dispatch a queued job gets, and answers 200
+        with its terminal document: no dispatcher, no event stream.
 
         ``request_id`` is the transport-level correlation id (the
         ``X-Repro-Request-Id`` header); an explicit ``request_id``
         payload field wins over it. A job keeps the id of its *first*
         submission — like ``sweep_id``, the job belongs to whichever
         request admitted it.
+
+        ``job_id`` is the id an earlier, byte-identical submission of
+        ``payload`` was admitted as (the HTTP layer's replay memo).
+        While the registry holds that job live or done, the submission
+        coalesces onto it without parsing ``payload``.
         """
         self.start()
         ok, reason, retry_after = self.admission.precheck(client)
@@ -351,38 +367,57 @@ class JobService:
                 doc["retry_after"] = round(retry_after, 3)
                 headers["Retry-After"] = f"{max(retry_after, 0.001):.3f}"
             return status, doc, headers
-        try:
-            request = parse_job_request(payload,
-                                        allow_chaos=self.allow_chaos,
-                                        known=self._known)
-        except ProtocolError as error:
-            return error.status, {"error": str(error)}, {}
-        if request.request_id is None:
-            request.request_id = request_id
-        entry, created, retry_after = self.registry.get_or_create(
-            request, admit=self.admission.acquire_slot)
+        entry = (self.registry.coalesce(job_id) if job_id is not None
+                 else None)
         if entry is None:
-            return 429, {"error": "queue-full",
-                         "retry_after": retry_after}, \
-                   {"Retry-After": f"{retry_after:.3f}"}
-        if not created:
-            # Coalesced onto an existing live/done entry: no window
-            # slot is spent — no new simulation will run, so a
-            # duplicate storm can never exhaust the queue.
-            self.admission.note_coalesced()
-            doc = entry.job_doc()
-            doc["coalesced"] = True
-            return (200 if entry.terminal else 202), doc, {}
+            try:
+                request = parse_job_request(payload,
+                                            allow_chaos=self.allow_chaos,
+                                            known=self._known)
+            except ProtocolError as error:
+                return error.status, {"error": str(error)}, {}
+            if request.request_id is None:
+                request.request_id = request_id
+            entry, created, retry_after = self.registry.get_or_create(
+                request, admit=self.admission.acquire_slot)
+            if entry is None:
+                return 429, {"error": "queue-full",
+                             "retry_after": retry_after}, \
+                       {"Retry-After": f"{retry_after:.3f}"}
+            if created:
+                return self._admit(entry)
+        # Coalesced onto an existing live/done entry: no window slot is
+        # spent — no new simulation will run, so a duplicate storm can
+        # never exhaust the queue.
+        self.admission.note_coalesced()
+        doc = entry.job_doc()
+        doc["coalesced"] = True
+        return (200 if entry.terminal else 202), doc, {}
+
+    def _admit(self, entry):
+        """Announce a newly created entry, then queue it for a
+        dispatcher — or settle it now when the disk cache holds it."""
+        request = entry.request
         extra = ({"request_id": request.request_id}
                  if request.request_id is not None else {})
         record = self._emit("queued", job=entry.index,
                             workload=request.workload,
                             config=request.fingerprint, **extra)
         entry.publish(record)
-        self._queue.put(entry)
+        if self.disk_cache is not None and request.job_id in self.disk_cache:
+            with self._settling:
+                self._inline += 1
+            try:
+                self._dispatch(entry)
+            finally:
+                with self._settling:
+                    self._inline -= 1
+                    self._settling.notify_all()
+        else:
+            self._queue.put(entry)
         doc = entry.job_doc()
         doc["coalesced"] = False
-        return 202, doc, {}
+        return (200 if entry.terminal else 202), doc, {}
 
     def _known(self, job_id):
         """Whether the registry or the disk cache already holds
@@ -566,6 +601,13 @@ class JobService:
 #: connection, so an idle or stalled client cannot hold a handler.
 IDLE_TIMEOUT = 5.0
 
+#: Request bodies the replay memo remembers, and the largest it keeps:
+#: at most 1,024 x 8 KiB. A full machine spec makes a body of about
+#: 900 bytes, and the paper's grids hold under 300 points. The oldest
+#: body is forgotten first; a forgotten one is simply parsed again.
+REPLAY_MEMO_SIZE = 1024
+REPLAY_BODY_LIMIT = 8192
+
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             403: "Forbidden", 404: "Not Found", 405: "Method Not Allowed",
             429: "Too Many Requests", 500: "Internal Server Error",
@@ -693,6 +735,7 @@ class ServiceHTTP:
         self._closing = False
         self._handlers = set()      # tasks serving a connection
         self._idle = set()          # writers waiting for their next request
+        self._replays = {}          # admitted request body -> its job id
 
     async def start(self):
         self.service.start()
@@ -792,8 +835,10 @@ class ServiceHTTP:
         keep = ("keep-alive" in connection if http10
                 else "close" not in connection)
         path = target.split("?", 1)[0]
-        request_id = (headers.get("x-repro-request-id")
-                      or uuid.uuid4().hex[:12])
+        request_id = headers.get("x-repro-request-id")
+        if request_id is None or not REQUEST_ID.fullmatch(request_id):
+            # Absent, or not safe to echo and log: mint one.
+            request_id = uuid.uuid4().hex[:12]
         if length is None:
             # A request of unknown length would desynchronise every
             # request after it on this connection.
@@ -867,11 +912,28 @@ class ServiceHTTP:
         except (ValueError, UnicodeDecodeError):
             return 400, {"error": "request body is not valid JSON"}, ()
         client = payload.get("client") if isinstance(payload, dict) else None
+        job_id = self._replays.get(body)
+        if job_id is not None:
+            entry = self.service.registry.get(job_id)
+            if entry is not None and entry.state != FAILED:
+                # A byte-identical resubmission of a job the registry
+                # holds live or done only coalesces: nothing to parse
+                # and nothing that blocks, so answer it on the loop. (A
+                # job that fails between this check and the coalesce is
+                # parsed and retried here: correct, and rare.)
+                status, doc, headers = self.service.submit(
+                    payload, client, request_id, job_id=job_id)
+                return status, doc, headers.items()
         loop = asyncio.get_running_loop()
         # submit() parses and hashes the program off the event loop, so
         # a slow (or injected-slow) client never stalls its neighbours.
         status, doc, headers = await loop.run_in_executor(
             None, self.service.submit, payload, client, request_id)
+        if status in (200, 202) and len(body) <= REPLAY_BODY_LIMIT:
+            if body not in self._replays \
+                    and len(self._replays) >= REPLAY_MEMO_SIZE:
+                del self._replays[next(iter(self._replays))]
+            self._replays[body] = doc["job_id"]
         return status, doc, headers.items()
 
     def _status(self, job_id):

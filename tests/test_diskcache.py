@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.core.config import MachineConfig
+from repro.core.config import ENGINE_VERSION, MachineConfig
 from repro.core.stats import SimStats
 from repro.harness.diskcache import (CacheCorruptionWarning, DiskResultCache,
                                      FILE_FORMAT, hash_key)
@@ -357,3 +357,17 @@ def test_save_is_byte_deterministic(tmp_path):
     b.save()
     assert (tmp_path / "a.json").read_bytes() == \
         (tmp_path / "b.json").read_bytes()
+
+
+def test_save_writes_the_sorted_json_of_its_document(tmp_path):
+    path = tmp_path / "results.json"
+    cache = DiskResultCache(path, autosave=False)
+    cache.put("k1", {"z": [1, 2.5, None], "a": "text é"})
+    cache.put("k0", {"m": {"y": True, "b": 3}})
+    cache.save()
+    document = {"format": FILE_FORMAT, "entries": {
+        key: {"engine": ENGINE_VERSION, "payload": payload}
+        for key, payload in (("k0", {"m": {"y": True, "b": 3}}),
+                             ("k1", {"z": [1, 2.5, None],
+                                     "a": "text é"}))}}
+    assert path.read_text() == json.dumps(document, sort_keys=True)

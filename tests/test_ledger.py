@@ -337,3 +337,32 @@ def test_ledger_legacy_record_defaults_to_scalar_backend(tmp_path, capsys):
         assert main(["diff", old["run_id"], new["run_id"],
                      "--ledger", str(path)]) == 0
     assert "LL5" in capsys.readouterr().out
+
+
+def test_plain_key_is_never_answered_by_an_aligned_record(tmp_path):
+    ledger = RunLedger(tmp_path / "ledger.jsonl")
+    jobs = [("LL2", MachineConfig(nthreads=1))]
+    run_grid(jobs, workers=1, ledger=ledger, ledger_timestamp=T0)
+    run_grid(jobs, workers=1, aligned=True, ledger=ledger,
+             ledger_timestamp=T0)
+    plain, aligned = ledger.records()
+    assert (plain["aligned"], aligned["aligned"]) == (False, True)
+    assert plain["stats"]["cycles"] == 5779
+    assert aligned["stats"]["cycles"] == 5780
+    key = ("LL2", config_fingerprint(MachineConfig(nthreads=1)))
+    assert ledger.latest_by_key(keys=[key])[key]["stats"]["cycles"] == 5779
+    assert ledger.latest_by_key()[key]["stats"]["cycles"] == 5779
+
+
+def test_legacy_record_without_alignment_reads_plain(tmp_path):
+    record = _record(cycles=7)
+    del record["aligned"]
+    record["run_id"] = fingerprint({k: v for k, v in record.items()
+                                    if k != "run_id"})
+    path = tmp_path / "ledger.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    ledger = RunLedger(path)
+    loaded, = ledger.records()
+    assert loaded["aligned"] is False
+    assert [r["stats"]["cycles"]
+            for r in ledger.latest_by_key().values()] == [7]

@@ -117,3 +117,36 @@ def test_default_workers_ignores_junk(monkeypatch):
     monkeypatch.setenv(ENV_WORKERS, "lots")
     with pytest.warns(RuntimeWarning):
         assert default_workers() >= 1
+
+
+def test_run_grid_runs_a_repeated_point_once(tmp_path, monkeypatch):
+    from repro.core.pipeline import PipelineSim
+    from repro.obs.ledger import RunLedger
+    from repro.obs.report import build_experiment
+    from repro.obs.telemetry import SweepTelemetry, summarize
+
+    _, _, columns, grid = build_experiment("fetch", ["LL2"], (1,))
+    jobs = [(wname, config) for wname, config, _ in grid]
+    assert len(jobs) == 4           # TrueRR at 1 thread is the BaseCase
+    runs = []
+    real_run = PipelineSim.run
+
+    def counting_run(self, *args, **kwargs):
+        runs.append(self)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(PipelineSim, "run", counting_run)
+    events = []
+    ledger = RunLedger(tmp_path / "ledger.jsonl")
+    results = run_grid(jobs, workers=1, ledger=ledger,
+                       disk_cache=tmp_path / "cache.json",
+                       telemetry=SweepTelemetry(
+                           sinks=[lambda e: events.append(e.to_dict())]))
+    assert len(runs) == 3
+    assert len(ledger.records()) == 3
+    by_label = dict(zip(columns, results))
+    assert by_label["TrueRR"] is by_label["BaseCase"]
+    _assert_matches_serial(results, jobs)
+    audit = summarize(events)
+    assert audit["violations"] == []
+    assert audit["metrics"].total == 3

@@ -173,8 +173,8 @@ def test_report_cli_rejects_several_thread_counts_for_one_machine(
 
 
 def test_alignment_experiment_is_not_reportable():
-    # Ledger records do not key on alignment, so its two columns would
-    # read the same record.
+    # The report reads plain runs only (RunLedger.latest_by_key), so
+    # the aligned column would find no record.
     with pytest.raises(ValueError, match="unknown experiment"):
         build_experiment("alignment")
 

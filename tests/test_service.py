@@ -923,7 +923,7 @@ def test_cached_point_is_not_compiled_on_submission(tmp_path, monkeypatch):
     hits = cache.hits
     service, _ = _collecting_service(disk_cache=cache)
     status, doc, _ = service.submit(_payload("LL5"))
-    assert status == 202
+    assert status == 200 and doc["state"] == "done" and doc["cached"]
     assert service.registry.get(doc["job_id"]).wait(120)
     status, doc, _ = service.submit(_payload("LL5"))
     assert status == 200 and doc["state"] == "done" and doc["cached"]
@@ -947,6 +947,234 @@ def test_close_with_an_idle_kept_connection_is_prompt(http_harness):
     assert time.monotonic() - start < 1.0
     assert not harness._thread.is_alive()
     client.close()
+
+
+def _count_slow_path(monkeypatch):
+    """Count ``parse_job_request`` calls and event-loop executor hops
+    from now on (the executor is patched on the loop class, so the
+    harness's running loop sees it)."""
+    from repro.service import server
+
+    counts = {"parse": 0, "executor": 0}
+    real_parse = server.parse_job_request
+    real_executor = asyncio.base_events.BaseEventLoop.run_in_executor
+
+    def parse(*args, **kwargs):
+        counts["parse"] += 1
+        return real_parse(*args, **kwargs)
+
+    def executor(self, *args, **kwargs):
+        counts["executor"] += 1
+        return real_executor(self, *args, **kwargs)
+
+    monkeypatch.setattr(server, "parse_job_request", parse)
+    monkeypatch.setattr(asyncio.base_events.BaseEventLoop,
+                        "run_in_executor", executor)
+    return counts
+
+
+def test_replay_of_a_done_job_is_answered_on_the_loop(http_harness,
+                                                      monkeypatch):
+    service, events = _collecting_service(rate=0.001, burst=3)
+    harness = http_harness(service)
+    client = harness.client()
+    doc = client.run_job(_payload())
+    assert doc["state"] == "done"
+    counts = _count_slow_path(monkeypatch)
+    again = client.run_job(_payload())
+    assert counts == {"parse": 0, "executor": 0}
+    assert again["state"] == "done" and again["coalesced"]
+    assert again["result"] == doc["result"]
+    assert again["submissions"] == 2
+    assert service.admission.snapshot()["coalesced"] == 1
+    # burst 3: the first submit and the replay took one token each (the
+    # replay exactly one), so one more replay passes and the next is
+    # refused
+    status, _, doc = client._request("POST", "/v1/jobs", _payload(),
+                                     request_id="third")
+    assert status == 200 and doc["coalesced"]
+    status, _, doc = client._request("POST", "/v1/jobs", _payload())
+    assert status == 429 and doc["error"] == "rate-limited"
+    assert service.admission.snapshot()["rejected"]["rate-limited"] == 1
+    assert counts == {"parse": 0, "executor": 0}
+    # a body that differs by one byte is parsed, off the loop
+    service.admission.rate = None
+    other = client.run_job(_payload(sweep_id="other"))
+    assert other["job_id"] == again["job_id"] and other["coalesced"]
+    assert counts == {"parse": 1, "executor": 1}
+    harness.stop()
+    assert summarize(events)["violations"] == []
+
+
+def test_replay_of_a_failed_job_takes_the_parse_path(http_harness,
+                                                     monkeypatch):
+    service, events = _collecting_service(allow_chaos=True, retries=0)
+    harness = http_harness(service)
+    client = harness.client()
+    payload = _payload(chaos={"crash": {"attempts": 99}})
+    first = client.run_job(payload)
+    assert first["state"] == "failed"
+    counts = _count_slow_path(monkeypatch)
+    again = client.run_job(payload)
+    assert counts == {"parse": 1, "executor": 1}
+    assert again["state"] == "failed"
+    assert again["job_id"] == first["job_id"]
+    assert again["index"] != first["index"]     # a fresh run
+    harness.stop()
+    audit = summarize(events)
+    assert audit["violations"] == []
+    assert audit["metrics"].failed == 2
+
+
+def _warm_cache(tmp_path, *payloads):
+    """A disk cache holding the result of every payload."""
+    from repro.harness.diskcache import DiskResultCache
+
+    cache = DiskResultCache(tmp_path / "results.json",
+                            schema=Runner.RESULT_SCHEMA)
+    warm, _ = _collecting_service(disk_cache=cache)
+    for payload in payloads:
+        _, doc, _ = warm.submit(payload)
+        assert warm.registry.get(doc["job_id"]).wait(120)
+    warm.drain()
+    return cache
+
+
+def test_cached_point_is_answered_in_the_submit(tmp_path, http_harness,
+                                                monkeypatch):
+    cache = _warm_cache(tmp_path, _payload("LL5"))
+    ledger = RunLedger(tmp_path / "ledger.jsonl")
+    service, events = _collecting_service(disk_cache=cache, ledger=ledger)
+    queued = []
+    monkeypatch.setattr(service._queue, "put", queued.append)
+    harness = http_harness(service)
+
+    class NoStreamClient(ServiceClient):
+        def stream(self, job_id, **kwargs):
+            raise AssertionError("a cached point opened an event stream")
+
+    client = NoStreamClient("127.0.0.1", harness.http.port)
+    doc = client.run_job(_payload("LL5"), request_id="warm-0001")
+    client.close()
+    assert doc["state"] == "done" and doc["cached"]
+    assert not doc["coalesced"]
+    assert queued == []
+    harness.stop()
+    record, = ledger.records()
+    assert record["cached"] and record["request_id"] == "warm-0001"
+    kinds = [e["event"] for e in events if e.get("job") == doc["index"]]
+    assert kinds == ["queued", "cache-hit"]
+    audit = summarize(events)
+    assert audit["violations"] == [] and audit["metrics"].cache_hits == 1
+
+
+def test_concurrent_submits_settle_each_cached_point_once(tmp_path):
+    points = [_payload("LL11", nthreads=n) for n in (1, 2)]
+    cache = _warm_cache(tmp_path, *points)
+    ledger = RunLedger(tmp_path / "ledger.jsonl")
+    service, events = _collecting_service(disk_cache=cache, ledger=ledger,
+                                          workers=2)
+    answers = []
+    threads = [threading.Thread(
+        target=lambda payload=points[n % 2]: answers.append(
+            service.submit(payload)))
+        for n in range(16)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    service.drain(timeout=60)
+    assert len(answers) == 16
+    assert {status for status, _, _ in answers} <= {200, 202}
+    assert sum(not doc["coalesced"] for _, doc, _ in answers) == 2
+    assert len(service.registry) == 2
+    assert all(entry.state == "done" and entry.cached
+               for entry in service.registry.entries())
+    admission = service.admission.snapshot()
+    assert (admission["admitted"], admission["coalesced"],
+            admission["inflight"]) == (2, 14, 0)
+    assert [r["cached"] for r in ledger.records()] == [True, True]
+    audit = summarize(events)
+    assert audit["violations"] == [] and audit["metrics"].cache_hits == 2
+
+
+def test_drain_waits_for_a_cached_point_being_settled(tmp_path,
+                                                      monkeypatch):
+    from repro.service import server
+
+    payload = _payload("LL5")
+    cache = _warm_cache(tmp_path, payload)
+    service, events = _collecting_service(disk_cache=cache)
+    entered, release = threading.Event(), threading.Event()
+    real_run_grid = server.run_grid
+
+    def held_run_grid(*args, **kwargs):
+        entered.set()
+        assert release.wait(30)
+        return real_run_grid(*args, **kwargs)
+
+    monkeypatch.setattr(server, "run_grid", held_run_grid)
+    answers = []
+    submitter = threading.Thread(
+        target=lambda: answers.append(service.submit(payload)))
+    submitter.start()
+    assert entered.wait(30)
+    drainer = threading.Thread(target=service.drain)
+    drainer.start()
+    time.sleep(0.3)         # long enough for the idle dispatchers to stop
+    assert drainer.is_alive()
+    release.set()
+    drainer.join(30)
+    submitter.join(30)
+    assert not drainer.is_alive() and not submitter.is_alive()
+    status, doc, _ = answers[0]
+    assert status == 200 and doc["state"] == "done"
+    assert summarize(events)["violations"] == []
+
+
+@pytest.mark.parametrize("bad_id", ["x" * 1024, "ab\rcd"],
+                         ids=["1KiB", "carriage-return"])
+def test_unsafe_request_id_header_is_replaced(http_harness, bad_id):
+    from repro.service.protocol import REQUEST_ID
+
+    ledger = RunLedger(None)    # REPRO_LEDGER, isolated per test
+    service, _ = _collecting_service(ledger=ledger)
+    harness = http_harness(service)
+    body = json.dumps(_payload())
+    sock, stream = _raw_connection(harness)
+    with sock, stream:
+        _send(sock, f"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                    f"X-Repro-Request-Id: {bad_id}\r\n"
+                    f"Content-Length: {len(body)}\r\n\r\n{body}")
+        status, headers, raw = _read_response(stream)
+    minted = headers["x-repro-request-id"]
+    assert status == 202 and minted != bad_id
+    assert REQUEST_ID.fullmatch(minted)
+    doc = json.loads(raw)
+    assert doc["request_id"] == minted
+    assert service.registry.get(doc["job_id"]).wait(120)
+    harness.stop()
+    assert [r["request_id"] for r in ledger.records()] == [minted]
+
+
+@pytest.mark.parametrize("bad_id", ["x" * 65, "ab\ncd", "abc\n", "a b", ""],
+                         ids=["65-chars", "newline", "trailing-newline",
+                              "space", "empty"])
+def test_unsafe_request_id_field_is_refused(bad_id):
+    from repro.service.protocol import REQUEST_ID
+
+    assert not REQUEST_ID.fullmatch(bad_id)
+    with pytest.raises(ProtocolError, match="request_id must be") as error:
+        parse_job_request(_payload(request_id=bad_id))
+    assert error.value.status == 400
+    assert parse_job_request(
+        _payload(request_id="Ab9._-" * 10 + "abcd")).request_id
 
 
 # --------------------------------------------------- process-level drain

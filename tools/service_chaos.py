@@ -32,6 +32,13 @@ Shutdown is audited too: one client holds an idle kept connection
 open through the SIGTERM drain, and the server must still exit within
 :data:`EXIT_LIMIT` seconds without printing ``Exception in callback``.
 
+A **warm replay** phase follows: a second server on the cache the
+drill just filled. The first submission of each cached point must be
+answered ``200`` ``done`` and ``cached`` in the submit itself, with no
+event stream; a storm of byte-identical replays must all coalesce;
+and the second server's metrics and event log must reconcile and pass
+the same accounting audit.
+
 Usage::
 
     PYTHONPATH=src python tools/service_chaos.py --events serve_events.jsonl
@@ -83,6 +90,9 @@ SUBMISSIONS = (
 #: Seconds the server may take to exit after SIGTERM once every client
 #: is done, with one idle kept connection still open.
 EXIT_LIMIT = 2.0
+
+#: Clients replaying one cached point at once in the warm phase.
+WARM_STORM = 8
 
 
 def _plan():
@@ -248,6 +258,88 @@ def _check_metrics(mid_scrape, final_scrape, health, events_path):
     return problems
 
 
+class _StreamCountingClient(ServiceClient):
+    """A client that counts the event streams it opens."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.streams = 0
+
+    def stream(self, job_id, **kwargs):
+        self.streams += 1
+        return super().stream(job_id, **kwargs)
+
+
+def _warm_replay(events_path, workers):
+    """Serve the drill's points again from a second server on the now
+    warm cache; returns a list of problems."""
+    points = {}
+    for _, payload in SUBMISSIONS:
+        point = {"workload": payload["workload"], "config": payload["config"]}
+        points.setdefault(json.dumps(point, sort_keys=True), point)
+    problems = []
+    server, port = _start_server(events_path, workers)
+    try:
+        client = _StreamCountingClient("127.0.0.1", port, retries=6,
+                                       backoff=0.1)
+        for point in points.values():
+            doc = client.run_job(point)
+            if not (doc.get("state") == "done" and doc.get("cached")
+                    and doc.get("coalesced") is False):
+                problems.append(f"{point['workload']}: first submission "
+                                f"answered {doc!r:.200}")
+        if client.streams:
+            problems.append(f"{client.streams} event stream(s) opened "
+                            f"for cached points")
+        replay = next(iter(points.values()))
+        docs = []
+
+        def _replay():
+            one = ServiceClient("127.0.0.1", port, retries=6, backoff=0.1)
+            try:
+                docs.append(one.submit(replay))
+            except Exception as error:  # noqa: BLE001 — reported below
+                problems.append(f"replay: {error!r}")
+            finally:
+                one.close()
+
+        threads = [threading.Thread(target=_replay)
+                   for _ in range(WARM_STORM)]
+        for thread in threads:
+            thread.start()
+        mid_scrape = client.metrics_text()
+        for thread in threads:
+            thread.join(60)
+        if len(docs) != WARM_STORM or not all(
+                doc.get("state") == "done" and doc.get("coalesced")
+                for doc in docs):
+            problems.append(f"replay storm: {len(docs)}/{WARM_STORM} "
+                            f"answers, not all coalesced onto a done job")
+        final_scrape = client.metrics_text()
+        health = client.health()
+        client.close()
+        server.send_signal(signal.SIGTERM)
+        out, _ = server.communicate(timeout=120)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.communicate(timeout=30)
+    jobs = health["jobs"]
+    if jobs["done"] != jobs["total"] or jobs["total"] != len(points):
+        problems.append(f"jobs {jobs}, expected {len(points)} done")
+    if health["admission"]["coalesced"] != WARM_STORM:
+        problems.append(f"{health['admission']['coalesced']} of "
+                        f"{WARM_STORM} replays coalesced")
+    problems += _check_metrics(mid_scrape, final_scrape, health,
+                               events_path)
+    problems += [f"audit: {violation}" for violation in
+                 summarize(load_events(events_path))["violations"]]
+    if server.returncode != 0 or "drained" not in out:
+        problems.append(f"server exited {server.returncode} without a "
+                        f"graceful drain")
+    return [f"warm replay: {problem}" for problem in problems]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--events", default="serve_events.jsonl",
@@ -255,6 +347,9 @@ def main(argv=None):
     parser.add_argument("--metrics-out", default="serve_metrics.prom",
                         help="write the final /metrics scrape here "
                              "(validated, CI artifact)")
+    parser.add_argument("--warm-events", default="serve_warm_events.jsonl",
+                        help="event log of the warm-replay server "
+                             "(audited)")
     parser.add_argument("--workers", type=int, default=2,
                         help="server worker processes (default 2)")
     args = parser.parse_args(argv)
@@ -304,6 +399,8 @@ def main(argv=None):
                         f"(limit {EXIT_LIMIT:g} s)")
     if "Exception in callback" in out:
         problems.append("server shutdown printed 'Exception in callback'")
+    if not problems:
+        problems += _warm_replay(args.warm_events, args.workers)
     if problems:
         print(f"chaos drill: FAILED ({len(problems)} problems)",
               file=sys.stderr)
@@ -313,7 +410,7 @@ def main(argv=None):
     done = sum(1 for doc in docs.values() if doc.get("state") == "done")
     print(f"chaos drill: ok — {done}/{len(SUBMISSIONS)} clients done, "
           f"storm coalesced, pool loss and disconnect recovered, "
-          f"metrics reconciled")
+          f"metrics reconciled, warm replay answered in the submit")
     return 0
 
 
