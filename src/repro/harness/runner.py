@@ -73,8 +73,8 @@ def _config_key(config):
             cache.size_bytes, cache.line_words, cache.assoc, cache.ports,
             cache.miss_penalty, ickey, config.bypassing, config.renaming,
             config.predictor_bits, config.predictor_entries,
-            config.shared_predictor, config.predictor_kind,
-            config.mem_words)
+            config.btb_entries, config.shared_predictor,
+            config.predictor_kind, config.mem_words)
 
 
 def program_hash(program):

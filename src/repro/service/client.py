@@ -1,12 +1,16 @@
 """Client for the job service: ``repro submit`` and the chaos suite.
 
-Built on :mod:`http.client` (stdlib only). The design centre is
-*idempotent resubmission*: job ids are content-addressed
-(:mod:`repro.service.protocol`), so retrying a submit — after a
-connection error, a 429, a 503, or a dropped event stream — can never
-start a second simulation; it coalesces onto the original job
-server-side. That makes the aggressive retry loop here safe by
-construction.
+Stdlib only: :class:`Connection` speaks the server's HTTP/1.1 dialect
+(:mod:`repro.service.wire`) over one socket, one ``sendall`` per
+request and one buffered ``recv`` loop per response; every request,
+the event stream and ``/metrics`` scrapes go through it.
+
+The design centre is *idempotent resubmission*: job ids are
+content-addressed (:mod:`repro.service.protocol`), so retrying a
+submit — after a connection error, a 429, a 503, or a dropped event
+stream — can never start a second simulation; it coalesces onto the
+original job server-side. That makes the aggressive retry loop here
+safe by construction.
 
 :meth:`ServiceClient.run_job` is the full client story the fault
 matrix exercises end to end: optional injected submit delay (slow
@@ -19,17 +23,30 @@ translated into the over-the-wire ``chaos`` field (the server must be
 started with ``--allow-chaos``).
 """
 
-import http.client
 import json
+import socket
 import threading
 import time
 import uuid
 import weakref
 
+from repro.service.wire import (END_OF_HEAD, HEAD_LIMIT, HeadTooLarge,
+                                content_length, keeps_open, parse_head)
+
 
 def new_request_id():
     """A fresh correlation id for ``X-Repro-Request-Id``."""
     return uuid.uuid4().hex[:16]
+
+
+def _id_header(request_id):
+    """The ``X-Repro-Request-Id`` header line for ``request_id`` ("" for
+    none); an id that would split its header line is a ValueError."""
+    if request_id is None:
+        return ""
+    if "\r" in request_id or "\n" in request_id:
+        raise ValueError(f"request id {request_id!r} contains a line break")
+    return f"X-Repro-Request-Id: {request_id}\r\n"
 
 
 class ServiceError(Exception):
@@ -49,8 +66,130 @@ class ClientDisconnect(Exception):
     (raised for injected disconnects and truncated streams alike)."""
 
 
+class BadResponse(OSError):
+    """A response that does not parse, or ends early. An ``OSError``,
+    so the retry policy treats it as the connection error it is."""
+
+
 #: Ceiling on any single backoff sleep, seconds.
 _MAX_BACKOFF = 5.0
+
+#: Bytes asked of one ``recv``.
+_RECV_SIZE = 65536
+
+
+class Connection:
+    """One socket to the service, speaking its HTTP/1.1 dialect
+    (:mod:`repro.service.wire`).
+
+    A request is one ``sendall`` of its head and body; a response is
+    read by one buffered ``recv`` loop: the head up to its blank line,
+    then the body by ``Content-Length``, or to the end of the stream
+    when there is none. ``sock`` is the open socket, or ``None``
+    between connections: a request opens one when there is none, and a
+    response that does not keep its connection (``Connection: close``,
+    HTTP/1.0 without ``keep-alive``, no length) closes it.
+    """
+
+    def __init__(self, host, port, timeout):
+        self.host = host
+        self.port = port
+        self.timeout = timeout
+        self.sock = None
+        self._buffer = bytearray()      # received, not yet consumed
+        self._host = f"Host: {host}:{port}\r\n"
+
+    def close(self):
+        sock, self.sock = self.sock, None
+        self._buffer.clear()
+        if sock is not None:
+            sock.close()
+
+    def send(self, method, path, body=b"", extra=""):
+        """Send one request; ``extra`` is more header lines, each ending
+        in CRLF. Opens the socket when there is none."""
+        if self.sock is None:
+            self.sock = socket.create_connection((self.host, self.port),
+                                                 self.timeout)
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if body:
+            extra += ("Content-Type: application/json\r\n"
+                      f"Content-Length: {len(body)}\r\n")
+        head = f"{method} {path} HTTP/1.1\r\n{self._host}{extra}\r\n"
+        self.sock.sendall(head.encode("latin-1") + body)
+
+    def _fill(self):
+        """Receive more bytes into the buffer; False at end of stream."""
+        chunk = self.sock.recv(_RECV_SIZE)
+        self._buffer += chunk
+        return bool(chunk)
+
+    def read_head(self):
+        """The next response's ``(status, version, headers)``.
+
+        Raises ``ConnectionResetError`` when the stream ends before any
+        byte of a response (the server closed a kept connection), and
+        :class:`BadResponse` for a malformed or truncated head."""
+        buffer = self._buffer
+        searched = 0
+        while (end := buffer.find(END_OF_HEAD, searched)) < 0:
+            if len(buffer) > HEAD_LIMIT:
+                raise BadResponse(f"response head over {HEAD_LIMIT} bytes")
+            searched = max(0, len(buffer) - 3)
+            if not self._fill():
+                if buffer:
+                    raise BadResponse("response ended inside its head")
+                raise ConnectionResetError("connection closed before "
+                                           "a response")
+        end += len(END_OF_HEAD)
+        head = bytes(buffer[:end])
+        del buffer[:end]
+        try:
+            start, headers = parse_head(head)
+        except HeadTooLarge as error:
+            raise BadResponse(str(error)) from None
+        if len(start) < 2 or not start[0].startswith("HTTP/") \
+                or not (start[1].isascii() and start[1].isdigit()):
+            raise BadResponse(f"bad status line {head[:80]!r}")
+        return int(start[1]), start[0], headers
+
+    def read_body(self, version, headers):
+        """The body of the response whose head was just read; closes
+        the connection when the response does not keep it."""
+        try:
+            length = content_length(headers)
+        except ValueError as error:
+            raise BadResponse(str(error)) from None
+        buffer = self._buffer
+        if length is None:
+            while self._fill():
+                pass
+            body = bytes(buffer)
+            self.close()        # the stream's end was the body's
+            return body
+        while len(buffer) < length:
+            if not self._fill():
+                raise BadResponse(f"response ended {length - len(buffer)} "
+                                  f"bytes short of its body")
+        body = bytes(buffer[:length])
+        del buffer[:length]
+        if not keeps_open(version, headers):
+            self.close()
+        return body
+
+    def readline(self):
+        """The next line of a stream body, with its newline; ``b""``
+        once the stream ends, even inside a line (a partial line is a
+        truncated record)."""
+        buffer = self._buffer
+        searched = 0
+        while (end := buffer.find(b"\n", searched)) < 0:
+            searched = len(buffer)
+            if not self._fill():
+                return b""
+        line = bytes(buffer[:end + 1])
+        del buffer[:end + 1]
+        return line
 
 
 class ServiceClient:
@@ -59,9 +198,10 @@ class ServiceClient:
     ``sleep`` and ``clock`` are injectable so the retry/backoff paths
     are deterministic under test (no real waiting).
 
-    Requests reuse one kept connection per calling thread; the event
-    stream and ``/metrics`` scrapes open their own. A kept connection
-    the server has closed is reopened and the request resent at once.
+    Requests reuse one kept :class:`Connection` per calling thread; the
+    event stream and ``/metrics`` scrapes open their own. A kept
+    connection the server has closed is reopened and the request resent
+    at once.
 
     Every request carries an ``X-Repro-Request-Id`` correlation header
     (caller-supplied or generated); the id echoed by the server's last
@@ -89,8 +229,7 @@ class ServiceClient:
         """This thread's kept connection (opened on first use)."""
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = http.client.HTTPConnection(self.host, self.port,
-                                                    timeout=self.timeout)
+            connection = Connection(self.host, self.port, self.timeout)
             self._local.connection = connection
             self._kept.add(connection)
         return connection
@@ -103,32 +242,28 @@ class ServiceClient:
 
     def _request(self, method, path, payload=None, request_id=None):
         body = json.dumps(payload).encode() if payload is not None \
-            else None
-        headers = {"Content-Type": "application/json"} if body else {}
-        if request_id is not None:
-            headers["X-Repro-Request-Id"] = request_id
+            else b""
+        extra = _id_header(request_id)
         connection = self._connection()
         try:
             reused = connection.sock is not None
             try:
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
+                connection.send(method, path, body, extra)
+                status, version, headers = connection.read_head()
             except (BrokenPipeError, ConnectionResetError):
-                # (RemoteDisconnected is a ConnectionResetError.) The
-                # server closed the kept connection between requests:
-                # nothing was answered, so resend once on a new one.
-                # Every request is idempotent, so this is no retry.
+                # The server closed the kept connection between
+                # requests: nothing was answered, so resend once on a
+                # new one. Every request is idempotent, so this is no
+                # retry.
                 if not reused:
                     raise
                 connection.close()
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
-            data = response.read()
+                connection.send(method, path, body, extra)
+                status, version, headers = connection.read_head()
+            data = connection.read_body(version, headers)
         except BaseException:
             connection.close()  # never reuse a half-used connection
             raise
-        headers = {name.lower(): value
-                   for name, value in response.getheaders()}
         echoed = headers.get("x-repro-request-id")
         if echoed is not None:
             self.last_request_id = echoed
@@ -136,7 +271,7 @@ class ServiceClient:
             doc = json.loads(data.decode() or "null")
         except (ValueError, UnicodeDecodeError):
             doc = None
-        return response.status, headers, doc
+        return status, headers, doc
 
     def _with_retries(self, send, what):
         """Run an idempotent request under the retry policy.
@@ -152,7 +287,7 @@ class ServiceClient:
             wait = delay
             try:
                 status, headers, doc = send()
-            except (OSError, http.client.HTTPException) as error:
+            except OSError as error:
                 last = f"connection error: {error}"
             else:
                 if status < 400:
@@ -212,18 +347,16 @@ class ServiceClient:
         Raises :class:`ServiceError` when the server runs without a
         metrics registry (404).
         """
-        connection = http.client.HTTPConnection(self.host, self.port,
-                                                timeout=self.timeout)
+        connection = Connection(self.host, self.port, self.timeout)
         try:
-            connection.request("GET", "/metrics")
-            response = connection.getresponse()
-            data = response.read()
-            if response.status != 200:
-                raise ServiceError(response.status,
-                                   "metrics scrape failed")
-            return data.decode()
+            connection.send("GET", "/metrics", extra="Connection: close\r\n")
+            status, version, headers = connection.read_head()
+            data = connection.read_body(version, headers)
         finally:
             connection.close()
+        if status != 200:
+            raise ServiceError(status, "metrics scrape failed")
+        return data.decode()
 
     def wait(self, job_id, poll=0.1, timeout=300.0, request_id=None):
         """Poll until the job is terminal; returns its final document."""
@@ -246,20 +379,17 @@ class ServiceClient:
         :class:`ClientDisconnect` — also raised when the stream
         genuinely truncates (server died mid-stream).
         """
-        connection = http.client.HTTPConnection(self.host, self.port,
-                                                timeout=self.timeout)
-        headers = {} if request_id is None \
-            else {"X-Repro-Request-Id": request_id}
+        connection = Connection(self.host, self.port, self.timeout)
         try:
-            connection.request("GET", f"/v1/jobs/{job_id}/events",
-                               headers=headers)
-            response = connection.getresponse()
-            if response.status != 200:
-                raise ServiceError(response.status,
+            connection.send("GET", f"/v1/jobs/{job_id}/events",
+                            extra=_id_header(request_id))
+            status, _, _ = connection.read_head()
+            if status != 200:
+                raise ServiceError(status,
                                    f"no event stream for {job_id[:12]}")
             seen = 0
             while True:
-                line = response.readline()
+                line = connection.readline()
                 if not line:
                     raise ClientDisconnect(
                         f"stream for {job_id[:12]} ended after {seen} "

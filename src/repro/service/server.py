@@ -55,6 +55,8 @@ from repro.service.dedup import DONE, FAILED, JobRegistry
 from repro.service.protocol import (REQUEST_ID, ProtocolError,
                                     parse_job_request)
 from repro.service.queue import AdmissionController
+from repro.service.wire import (END_OF_HEAD, HEAD_LIMIT, HeadTooLarge,
+                                content_length, keeps_open, parse_head)
 
 #: Inner run_grid events not forwarded to the service stream: the
 #: service owns its own sweep framing and queued/heartbeat cadence.
@@ -608,10 +610,16 @@ IDLE_TIMEOUT = 5.0
 REPLAY_MEMO_SIZE = 1024
 REPLAY_BODY_LIMIT = 8192
 
+#: Largest request body the server reads. A longer ``Content-Length``
+#: is answered ``413`` and the connection closed unread. A full machine
+#: spec makes a body of about 900 bytes.
+BODY_LIMIT = 64 * 1024
+
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             403: "Forbidden", 404: "Not Found", 405: "Method Not Allowed",
-            429: "Too Many Requests", 500: "Internal Server Error",
-            503: "Service Unavailable"}
+            413: "Content Too Large", 429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
+            500: "Internal Server Error", 503: "Service Unavailable"}
 
 
 def _response(status, payload, headers=(), keep=False):
@@ -631,6 +639,15 @@ def _response(status, payload, headers=(), keep=False):
         lines.append("Connection: close")
     lines.extend(f"{name}: {value}" for name, value in headers)
     return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+def _refused(status, message, start=(None, None, ""), headers=None):
+    """What :meth:`ServiceHTTP._read_request` returns for a request it
+    refuses: its parsed ``start`` line and ``headers`` when it got that
+    far, and the answer as :meth:`ServiceHTTP._route` gives one."""
+    method, target, version = start
+    return (method, target, version, headers or {}, b"",
+            (status, {"error": message}, ()))
 
 
 def _stream_head(request_id=None):
@@ -710,10 +727,13 @@ class ServiceHTTP:
 
     Connections persist: an HTTP/1.1 request keeps its connection
     unless it sends ``Connection: close``, an HTTP/1.0 one only when it
-    sends ``keep-alive``. The event stream, a malformed request and a
+    sends ``keep-alive`` (:func:`repro.service.wire.keeps_open`). The
+    event stream, a refused request (``400``, ``413``, ``431``) and a
     500 close the connection, and so does every response once the
     service drains. Each next request must arrive within
-    :data:`IDLE_TIMEOUT`.
+    :data:`IDLE_TIMEOUT`. A request head is read in one
+    ``readuntil``, so its size is capped by the reader's limit
+    (:data:`~repro.service.wire.HEAD_LIMIT`).
 
     Every response carries ``X-Repro-Request-Id`` — the client's
     header echoed back, or a server-generated id — and ``access_log``
@@ -739,8 +759,8 @@ class ServiceHTTP:
 
     async def start(self):
         self.service.start()
-        self._server = await asyncio.start_server(self._handle, self.host,
-                                                  self.port)
+        self._server = await asyncio.start_server(
+            self._handle, self.host, self.port, limit=HEAD_LIMIT)
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 
@@ -782,40 +802,47 @@ class ServiceHTTP:
     async def _read_request(self, reader, writer):
         """Read one request under the idle deadline.
 
-        Returns ``(method, target, version, headers, length, body)`` —
-        ``method`` is ``None`` for a malformed request line, ``length``
-        ``None`` for a bad Content-Length, and then no body is read —
+        Returns ``(method, target, version, headers, body, refusal)``,
         or ``None`` when the connection ended (client close, deadline,
-        shutdown)."""
+        shutdown). ``refusal`` is ``None``, or the ``(status, payload,
+        headers)`` answer to a request that is not read to its end: a
+        malformed one (400), a head over the reader's limit or with too
+        many header lines (431), a body over :data:`BODY_LIMIT` (413).
+        Then ``method`` and ``target`` are ``None`` when the request
+        line was not parsed, and no body is read."""
         abort = asyncio.get_running_loop().call_later(
             IDLE_TIMEOUT, writer.transport.abort)
         self._idle.add(writer)
         try:
-            request_line = await reader.readline()
-            self._idle.discard(writer)
-            if not request_line:
+            try:
+                head = await reader.readuntil(END_OF_HEAD)
+            except asyncio.IncompleteReadError:
                 return None
-            headers = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            if writer.transport.is_closing():
-                return None
-            parts = request_line.decode("latin-1").split(None, 2)
-            method, target, version = (parts if len(parts) == 3
-                                       else (None, None, None))
-            length = headers.get("content-length", "0")
-            length = (int(length) if length.isascii() and length.isdigit()
-                      else None)
-            body = (await reader.readexactly(length)
-                    if method is not None and length else b"")
-            return method, target, version, headers, length, body
+            except asyncio.LimitOverrunError:
+                return _refused(431, f"request head over {HEAD_LIMIT} bytes")
+            finally:
+                self._idle.discard(writer)
+            try:
+                start, headers = parse_head(head)
+            except HeadTooLarge as error:
+                return _refused(431, str(error))
+            if len(start) != 3:
+                return _refused(400, "malformed request line")
+            method, target, version = start
+            try:
+                length = content_length(headers) or 0
+            except ValueError:
+                # A request of unknown length would desynchronise every
+                # request after it on this connection.
+                return _refused(400, "Content-Length must be a "
+                                     "non-negative integer", start, headers)
+            if length > BODY_LIMIT:
+                return _refused(413, f"request body over {BODY_LIMIT} bytes",
+                                start, headers)
+            body = await reader.readexactly(length) if length else b""
+            return method, target, version.rstrip(), headers, body, None
         finally:
             abort.cancel()
-            self._idle.discard(writer)
 
     async def _serve_one(self, reader, writer):
         """Answer one request; returns whether the connection stays
@@ -826,34 +853,26 @@ class ServiceHTTP:
         if request is None:
             return False
         start = time.perf_counter()
-        method, target, version, headers, length, body = request
-        if method is None:
-            writer.write(_response(400, {"error": "malformed request line"}))
-            return False
-        connection = headers.get("connection", "").lower()
-        http10 = version.rstrip() == "HTTP/1.0"
-        keep = ("keep-alive" in connection if http10
-                else "close" not in connection)
-        path = target.split("?", 1)[0]
+        method, target, version, headers, body, refusal = request
+        path = target.split("?", 1)[0] if target is not None else ""
         request_id = headers.get("x-repro-request-id")
         if request_id is None or not REQUEST_ID.fullmatch(request_id):
             # Absent, or not safe to echo and log: mint one.
             request_id = uuid.uuid4().hex[:12]
-        if length is None:
-            # A request of unknown length would desynchronise every
-            # request after it on this connection.
-            status, payload, extra = 400, {
-                "error": "Content-Length must be a non-negative integer"}, ()
+        if refusal is not None:
+            keep = False
+            status, payload, extra = refusal
         else:
+            keep = keeps_open(version, headers)
             status, payload, extra = await self._route(
                 method, path, body, writer, request_id)
         if payload is None:
             keep = False        # the event stream owned the connection
         else:
-            keep = (keep and length is not None and not self._closing
+            keep = (keep and not self._closing
                     and not self.service.admission.draining)
             extra = [*extra, ("X-Repro-Request-Id", request_id)]
-            if keep and http10:
+            if keep and version == "HTTP/1.0":
                 extra.append(("Connection", "keep-alive"))
             writer.write(_response(status, payload, extra, keep))
             await writer.drain()

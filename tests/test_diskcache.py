@@ -315,6 +315,56 @@ def test_config_key_covers_mem_words():
     assert _config_key(base) != _config_key(base.replace(mem_words=1 << 16))
 
 
+def test_one_runner_tells_btb_sizes_apart():
+    # Water at 2 threads: 7,177 cycles with a 1-entry BTB, 7,815 with
+    # 256 entries; a key without the field answered 7,177 for both.
+    runner = Runner()
+    water = by_name("Water")
+    small = runner.run(water, MachineConfig(nthreads=2, btb_entries=1))
+    large = runner.run(water, MachineConfig(nthreads=2, btb_entries=256))
+    assert (small.cycles, large.cycles) == (7_177, 7_815)
+
+
+#: ``to_spec`` fields that cannot change a completed run's counts, so
+#: the key leaves them out (see ``MachineConfig``).
+_UNKEYED = ("max_cycles", "hang_cycles", "fast_forward")
+
+
+def _perturbations(field, value):
+    """Other valid values for one ``to_spec`` field: one per entry of a
+    dict-valued field, so a new cache or unit field is caught too."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value * 2]
+    if isinstance(value, dict):
+        return [{**value, name: value[name] * 2} for name in value]
+    choices = {"fetch_policy": "masked_rr", "commit_policy": "lowest_only",
+               "masked_criterion": "long_latency",
+               "predictor_kind": "gshare",
+               "icache": {"size_bytes": 8192, "line_words": 4, "assoc": 1,
+                          "miss_penalty": 4, "ports": 1}}
+    assert field in choices, (f"no perturbation for new field {field!r}: "
+                              f"add one here, and the field to "
+                              f"_config_key unless it cannot change "
+                              f"a run's counts")
+    return [choices[field]]
+
+
+def test_config_key_covers_every_field_that_can_change_counts():
+    base = MachineConfig()
+    spec = base.to_spec()
+    for field, value in spec.items():
+        for other in _perturbations(field, value):
+            changed = MachineConfig.from_spec({**spec, field: other})
+            assert changed.to_spec()[field] != value, (field, other)
+            if field in _UNKEYED:
+                assert _config_key(changed) == _config_key(base), field
+            else:
+                assert _config_key(changed) != _config_key(base), \
+                    (field, other)
+
+
 def test_config_key_ignores_hang_cycles():
     # Like max_cycles, the watchdog threshold cannot change a completed
     # run's counts, so it must not invalidate disk caches.

@@ -841,6 +841,47 @@ def test_bad_content_length_is_a_400_and_closes(http_harness, length):
         assert stream.read() == b""
 
 
+def _head_lines(count):
+    """``count`` distinct, short header lines."""
+    return "".join(f"x{n}:\r\n" for n in range(count))
+
+
+@pytest.mark.parametrize("request_head, status, reason", [
+    # one header line longer than the reader's limit
+    ("GET /healthz HTTP/1.1\r\nX-Big: " + "x" * 70_000 + "\r\n\r\n", 431,
+     "request head over"),
+    # a short head, but more header lines than HEADER_LINES
+    ("GET /healthz HTTP/1.1\r\n" + _head_lines(5_000) + "\r\n", 431,
+     "header lines"),
+    # a body claim over BODY_LIMIT: answered before any body byte
+    ("POST /v1/jobs HTTP/1.1\r\nContent-Length: 10000000000\r\n\r\n", 413,
+     "request body over"),
+], ids=["long-line", "many-lines", "large-body"])
+def test_oversized_request_is_refused_and_closed(http_harness, request_head,
+                                                 status, reason):
+    from repro.obs.runtime import MetricsRegistry, parse_promtext
+    from repro.service import server
+
+    service, _ = _collecting_service(metrics=MetricsRegistry())
+    harness = http_harness(service)
+    sock, stream = _raw_connection(harness)
+    with sock, stream:
+        start = time.monotonic()
+        _send(sock, request_head)
+        got, headers, body = _read_response(stream)
+        assert got == status and headers["connection"] == "close"
+        assert reason in json.loads(body)["error"]
+        assert stream.read() == b""
+        assert time.monotonic() - start < server.IDLE_TIMEOUT
+    client = harness.client()
+    assert client.readiness()[0]
+    samples = parse_promtext(client.metrics_text())
+    counted = [labels for labels, _ in samples["repro_requests_total"]
+               if labels["status"] == str(status)]
+    assert [labels["method"] for labels in counted] == (
+        ["POST"] if status == 413 else ["other"])
+
+
 def test_metrics_method_label_is_bounded(http_harness):
     from repro.obs.runtime import MetricsRegistry, parse_promtext
 

@@ -114,6 +114,14 @@ def test_warm_report_loads_no_engine_compiler_or_pool(tmp_path):
     assert offenders(warm, WARM_REPORT_EXCLUDED) == []
 
 
+def test_service_client_loads_no_stdlib_http_stack():
+    # The client speaks the service's dialect itself (repro.service.wire).
+    loaded = loaded_after("import repro.service.client")
+    assert "repro.service.wire" in loaded
+    assert offenders(loaded, ("http", "email", "repro.service.protocol",
+                              "asyncio")) == []
+
+
 def test_cold_grid_loads_engine_before_the_pool_forks():
     out = subprocess.run([sys.executable, "-c", textwrap.dedent("""
         import json, sys

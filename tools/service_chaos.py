@@ -28,6 +28,12 @@ completions match terminal events, admissions match HTTP submissions).
 The final scrape is written to ``--metrics-out`` and uploaded as a CI
 artifact next to the event log.
 
+Two clients send requests the server must refuse without reading
+them: a head over the reader's limit (``431``) and a body claim over
+its body limit (``413``). Each must be answered and closed at once,
+``/readyz`` must stay ``200``, and the final scrape must count each
+under its bounded ``status`` and ``method`` labels.
+
 Shutdown is audited too: one client holds an idle kept connection
 open through the SIGTERM drain, and the server must still exit within
 :data:`EXIT_LIMIT` seconds without printing ``Exception in callback``.
@@ -48,6 +54,7 @@ import argparse
 import json
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -69,6 +76,8 @@ from repro.faults import ServiceFaultPlan
 from repro.obs.runtime import parse_promtext
 from repro.obs.telemetry import load_events, summarize
 from repro.service import ServiceClient
+from repro.service.server import BODY_LIMIT
+from repro.service.wire import HEAD_LIMIT
 
 #: Request indices of the chaos plan (the driver's submission order).
 STORM = (0, 1, 2, 3)           # duplicate storm: one job, four clients
@@ -93,6 +102,20 @@ EXIT_LIMIT = 2.0
 
 #: Clients replaying one cached point at once in the warm phase.
 WARM_STORM = 8
+
+#: Requests the server refuses unread: (what, request, status, the
+#: ``method`` label the refusal is counted under).
+OVERSIZED = (
+    ("oversized head",
+     b"GET /healthz HTTP/1.1\r\nX-Big: " + b"x" * HEAD_LIMIT + b"\r\n\r\n",
+     431, "other"),
+    ("oversized body",
+     b"POST /v1/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+     % (BODY_LIMIT + 1), 413, "POST"),
+)
+
+#: Seconds a refusal may take to be answered and closed.
+REFUSE_LIMIT = 2.0
 
 
 def _plan():
@@ -154,6 +177,35 @@ def _drill(port, plan):
     return docs, errors, mid_scrape
 
 
+def _oversized(port):
+    """Send each :data:`OVERSIZED` request on its own connection; each
+    must be answered with its status and closed within
+    :data:`REFUSE_LIMIT`, and the server must stay ready."""
+    problems = []
+    for what, request, status, _ in OVERSIZED:
+        reply = b""
+        try:
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10) as sock:
+                start = time.monotonic()
+                sock.sendall(request)
+                while chunk := sock.recv(65536):
+                    reply += chunk
+                seconds = time.monotonic() - start
+        except OSError as error:
+            problems.append(f"{what}: {error!r} after {reply[:40]!r}")
+            continue
+        if reply.split(None, 2)[1:2] != [str(status).encode()]:
+            problems.append(f"{what}: answered {reply[:60]!r}, not {status}")
+        elif seconds > REFUSE_LIMIT:
+            problems.append(f"{what}: took {seconds:.1f} s to be refused")
+    client = ServiceClient("127.0.0.1", port)
+    if not client.readiness()[0]:
+        problems.append("/readyz is not 200 after the oversized requests")
+    client.close()
+    return problems
+
+
 def _check(docs, errors, health):
     problems = list(errors)
     for index, _ in SUBMISSIONS:
@@ -209,10 +261,12 @@ def _sum(samples, name, **match):
                if all(labels.get(k) == v for k, v in match.items()))
 
 
-def _check_metrics(mid_scrape, final_scrape, health, events_path):
+def _check_metrics(mid_scrape, final_scrape, health, events_path,
+                   refused=()):
     """Validate both scrapes and reconcile the final counters against
     the event-log audit — the metrics must tell the same story as the
-    telemetry stream and the admission snapshot, exactly."""
+    telemetry stream and the admission snapshot, exactly. ``refused``
+    lists the :data:`OVERSIZED` requests the server was sent."""
     problems = []
     for label, text in (("mid-drill", mid_scrape),
                         ("post-drain", final_scrape)):
@@ -236,14 +290,25 @@ def _check_metrics(mid_scrape, final_scrape, health, events_path):
          _sum(samples, "repro_jobs_completed_total", state="failed"),
          audit.failed),
     )
+    for status in ("413", "431"):
+        want = [method for _, _, code, method in refused
+                if str(code) == status]
+        got = [labels["method"] for labels, value
+               in samples.get("repro_requests_total", ())
+               for _ in range(int(value)) if labels["status"] == status]
+        checks += ((f"requests_total{{status={status}}} methods",
+                    got, want),)
     for label, got, want in checks:
         if got != want:
-            problems.append(f"metrics mismatch: {label}: "
-                            f"{got:g} != {want:g}")
+            problems.append(f"metrics mismatch: {label}: {got} != {want}")
     if health is not None:
         admission = health["admission"]
-        submissions = _sum(samples, "repro_requests_total",
-                           route="/v1/jobs", method="POST")
+        # A refused body never reaches admission.
+        submissions = (_sum(samples, "repro_requests_total",
+                            route="/v1/jobs", method="POST")
+                       - _sum(samples, "repro_requests_total",
+                              route="/v1/jobs", method="POST",
+                              status="413"))
         accounted = (admission["admitted"] + admission["coalesced"]
                      + sum(admission["rejected"].values()))
         if submissions != accounted:
@@ -360,6 +425,7 @@ def main(argv=None):
     final_scrape = None
     try:
         docs, errors, mid_scrape = _drill(port, plan)
+        errors += _oversized(port)
         # Final scrape while the server still lives: after every client
         # drained, before the SIGTERM that ends the process.
         try:
@@ -388,7 +454,7 @@ def main(argv=None):
     problems = _check(docs, errors, health)
     problems += _check_pool_loss(docs, args.events)
     problems += _check_metrics(mid_scrape, final_scrape, health,
-                               args.events)
+                               args.events, refused=OVERSIZED)
     if server.returncode != 0:
         problems.append(f"server exited {server.returncode} after SIGTERM")
     if "drained" not in out:
@@ -410,7 +476,8 @@ def main(argv=None):
     done = sum(1 for doc in docs.values() if doc.get("state") == "done")
     print(f"chaos drill: ok — {done}/{len(SUBMISSIONS)} clients done, "
           f"storm coalesced, pool loss and disconnect recovered, "
-          f"metrics reconciled, warm replay answered in the submit")
+          f"oversized requests refused, metrics reconciled, warm replay "
+          f"answered in the submit")
     return 0
 
 
