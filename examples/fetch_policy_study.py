@@ -10,7 +10,7 @@ Run with: ``python examples/fetch_policy_study.py``
 (the three cycle-accurate runs per benchmark take ~tens of seconds).
 """
 
-from repro.harness import Runner, fetch_policy_study, series_table
+from repro.harness import Runner, experiment_results, series_table
 from repro.workloads import BY_NAME
 
 
@@ -18,7 +18,9 @@ def main():
     workloads = [BY_NAME["LL1"], BY_NAME["LL5"], BY_NAME["Water"]]
     runner = Runner(quiet=False)
     print("running fetch-policy study (4 threads + base case)...")
-    series = fetch_policy_study(runner, workloads, nthreads=4)
+    runs = experiment_results(runner, "fetch", workloads, threads=(4,))
+    series = {policy: {name: result.cycles for name, result in row.items()}
+              for policy, row in runs.items()}
     print()
     print(series_table("Cycles by fetch policy (cf. paper Figs. 3-4)",
                        series, benchmarks=[w.name for w in workloads]))

@@ -7,9 +7,9 @@ title and value kind, and the EXPERIMENTS.md section it regenerates.
 Everything that runs an experiment derives its grid from that one
 table: ``repro report`` (:func:`repro.obs.report.build_experiment`),
 the benchmark suite's parallel prefill (``benchmarks/conftest.py``)
-and the drivers below, which take a
-:class:`~repro.harness.runner.Runner` plus a workload list and return
-plain dictionaries keyed the way the paper's figures are organized.
+and :func:`experiment_results`, which reads one experiment's runs
+through a :class:`~repro.harness.runner.Runner`. The paper's claims
+about these experiments are declared in :mod:`repro.harness.claims`.
 """
 
 from repro.core.config import (FU_DEFAULT, FU_ENHANCED, CommitPolicy,
@@ -158,11 +158,12 @@ REPORT_EXPERIMENTS = tuple(name for name, experiment in EXPERIMENTS.items()
                            if not experiment.aligned)
 
 
-def experiment_cycles(runner, name, workloads=None, threads=None):
-    """Cycles of one declared experiment.
+def experiment_results(runner, name, workloads=None, threads=None):
+    """Runs of one declared experiment.
 
-    Returns ``{column label: {workload_name: cycles}}``; ``workloads``
-    defaults to the experiment's own slice.
+    Returns ``{column label: {workload_name: RunResult}}``, so cycles,
+    hit rates and functional-unit usage are all reachable;
+    ``workloads`` defaults to the experiment's own slice.
     """
     from repro.workloads import by_name
 
@@ -170,116 +171,10 @@ def experiment_cycles(runner, name, workloads=None, threads=None):
     if workloads is None:
         workloads = [by_name(n) for n in experiment.workload_names()]
     return {label: {w.name: runner.run(
-                        w, config, aligned=label in experiment.aligned).cycles
+                        w, config, aligned=label in experiment.aligned)
                     for w in workloads}
             for label, config in experiment.columns(threads)}
 
-
-# ------------------------------------------------- Figures 3 & 4 (E1/E2)
-
-def fetch_policy_study(runner, workloads, nthreads=DEFAULT_THREADS):
-    """Cycles under TrueRR / MaskedRR / CSwitch, plus the base case.
-
-    Returns ``{policy_label: {workload_name: cycles}}`` with an extra
-    ``"BaseCase"`` series.
-    """
-    return experiment_cycles(runner, "fetch", workloads, (nthreads,))
-
-
-# ------------------------------------------------- Figures 5 & 6 (E3/E4)
-
-def thread_sweep(runner, workloads, threads=THREAD_RANGE):
-    """Cycles for 1..6 threads (True RR, default hardware).
-
-    Returns ``{nthreads: {workload_name: cycles}}``.
-    """
-    return {int(label[:-1]): cycles for label, cycles in
-            experiment_cycles(runner, "threads", workloads, threads).items()}
-
-
-# --------------------------------------- Figures 7 & 8, Table 2 (E5-E7)
-
-def cache_study(runner, workloads, threads=THREAD_RANGE):
-    """Direct-mapped vs set-associative cache across thread counts.
-
-    Returns ``{assoc_label: {nthreads: {"cycles": {name: cycles},
-    "hit_rates": {name: rate}}}}`` where ``assoc_label`` is ``"direct"``
-    or ``"assoc"``.
-    """
-    out = {}
-    for label, config in EXPERIMENTS["cache"].columns(threads):
-        results = [runner.run(w, config) for w in workloads]
-        out.setdefault(label.partition("/")[2], {})[config.nthreads] = {
-            "cycles": {r.workload.name: r.cycles for r in results},
-            "hit_rates": {r.workload.name: r.stats.cache_hit_rate
-                          for r in results}}
-    return out
-
-
-# ------------------------------------------------ Figures 9 & 10 (E8/E9)
-
-def su_depth_study(runner, workloads, depths=SU_DEPTHS,
-                   threads=(1, DEFAULT_THREADS)):
-    """Cycles for scheduling units of 32/64/128/256 entries.
-
-    ``depths`` selects among :data:`SU_DEPTHS`. Returns ``{(nthreads,
-    depth): {workload_name: cycles}}``.
-    """
-    if not set(depths) <= set(SU_DEPTHS):
-        raise ValueError(f"SU depths are drawn from {SU_DEPTHS}")
-    return {(config.nthreads, config.su_entries):
-            {w.name: runner.run(w, config).cycles for w in workloads}
-            for _, config in EXPERIMENTS["su"].columns(threads)
-            if config.su_entries in depths}
-
-
-# --------------------------------------- Figures 11 & 12 (E10/E11)
-
-def fu_study(runner, workloads, threads=(1, DEFAULT_THREADS)):
-    """Default vs enhanced functional-unit configurations.
-
-    Returns ``{(nthreads, fu_label): {workload_name: cycles}}`` with
-    ``fu_label`` in ``("default", "enhanced")``.
-    """
-    return {(config.nthreads, label.partition("/")[2]):
-            {w.name: runner.run(w, config).cycles for w in workloads}
-            for label, config in EXPERIMENTS["fu"].columns(threads)}
-
-
-# ----------------------------------------------------- Table 3 (E12)
-
-def fu_usage_study(runner, workloads, nthreads=DEFAULT_THREADS):
-    """Average utilization of the enhanced configuration's extra units.
-
-    Runs the ``enhanced`` column of the ``fu`` experiment. Returns
-    ``{FuClass: [avg fraction per extra unit]}`` averaged over
-    ``workloads`` (the paper averages over each benchmark group).
-    """
-    config = dict(EXPERIMENTS["fu"].columns((nthreads,)))[
-        f"{nthreads}T/enhanced"]
-    sums = {}
-    for w in workloads:
-        stats = runner.run(w, config).stats
-        for cls, fractions in stats.extra_fu_usage(FU_DEFAULT).items():
-            bucket = sums.setdefault(cls, [0.0] * len(fractions))
-            for index, fraction in enumerate(fractions):
-                bucket[index] += fraction
-    count = len(workloads)
-    return {cls: [total / count for total in totals]
-            for cls, totals in sums.items()}
-
-
-# -------------------------------------------- Figures 13 & 14 (E13/E14)
-
-def commit_study(runner, workloads, nthreads=DEFAULT_THREADS):
-    """Flexible Result Commit vs lowest-block-only commit.
-
-    Returns ``{commit_label: {workload_name: cycles}}``.
-    """
-    return experiment_cycles(runner, "commit", workloads, (nthreads,))
-
-
-# -------------------------------------------- Section 5.2 summary (E16)
 
 def speedup(multi_cycles, single_cycles):
     """The paper's speedup formula: (Mt - St)/St on performances.
@@ -287,22 +182,3 @@ def speedup(multi_cycles, single_cycles):
     Performance is 1/cycles, so this equals ``single/multi - 1``.
     """
     return single_cycles / multi_cycles - 1.0
-
-
-def speedup_summary(runner, workloads, threads=THREAD_RANGE):
-    """Peak improvement per benchmark and group averages.
-
-    Returns ``{workload_name: {"peak": fraction, "best_threads": n,
-    "per_thread": {n: fraction}}}``.
-    """
-    sweep = thread_sweep(runner, workloads,
-                         threads=(1,) + tuple(n for n in threads if n != 1))
-    out = {}
-    for w in workloads:
-        per_thread = {n: speedup(sweep[n][w.name], sweep[1][w.name])
-                      for n in threads if n != 1}
-        best_n = max(per_thread, key=per_thread.get)
-        out[w.name] = {"peak": per_thread[best_n],
-                       "best_threads": best_n,
-                       "per_thread": per_thread}
-    return out

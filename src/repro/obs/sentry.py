@@ -19,6 +19,7 @@ The contract mirrors ``docs/PERFORMANCE.md``:
 """
 
 import cProfile
+import gc
 import json
 import pathlib
 import pstats
@@ -102,11 +103,21 @@ def count_calls(case):
 
     Run the case once first: the first run of a program memoizes each
     instruction's operands lazily, so a cold count would depend on
-    what the process simulated before.
+    what the process simulated before. Pending garbage is collected
+    first and automatic collection is off for the whole profiled run,
+    so no finalizer runs inside it. A zero threshold rather than
+    :func:`gc.disable` keeps the engine's own ``gc.isenabled()`` check
+    true, so the pinned counts still include its disable/enable pair.
     """
     sim = build(case)
     profiler = cProfile.Profile()
-    profiler.runcall(sim.run)
+    thresholds = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(0)
+    try:
+        profiler.runcall(sim.run)
+    finally:
+        gc.set_threshold(*thresholds)
     return sum(ncalls for (_, _, name), (_, ncalls, *_)
                in pstats.Stats(profiler).stats.items()
                if name not in _INLINED)

@@ -377,7 +377,8 @@ class ServiceClient:
         With a :class:`ServiceFaultPlan`, drops the connection after
         the plan's ``after_events`` threshold and raises
         :class:`ClientDisconnect` — also raised when the stream
-        genuinely truncates (server died mid-stream).
+        genuinely truncates or fails after its head (server died or
+        reset the connection mid-stream).
         """
         connection = Connection(self.host, self.port, self.timeout)
         try:
@@ -389,7 +390,12 @@ class ServiceClient:
                                    f"no event stream for {job_id[:12]}")
             seen = 0
             while True:
-                line = connection.readline()
+                try:
+                    line = connection.readline()
+                except OSError as exc:
+                    raise ClientDisconnect(
+                        f"stream for {job_id[:12]} failed after {seen} "
+                        f"record(s): {exc}") from exc
                 if not line:
                     raise ClientDisconnect(
                         f"stream for {job_id[:12]} ended after {seen} "

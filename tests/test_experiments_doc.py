@@ -3,6 +3,8 @@
 import importlib.util
 import pathlib
 
+from repro.harness.claims import CLAIMS, G1, G2
+
 _SPEC = importlib.util.spec_from_file_location(
     "generate_experiments",
     pathlib.Path(__file__).resolve().parent.parent / "tools"
@@ -10,34 +12,34 @@ _SPEC = importlib.util.spec_from_file_location(
 genexp = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(genexp)
 
-GROUP1 = genexp.GROUP1
-GROUP2 = genexp.GROUP2
+
+def _point(cycles):
+    return {"cycles": cycles, "hit_rate": 0.5, "extra_fu_usage": {}}
 
 
 def _fake_results():
-    names = GROUP1 + GROUP2
-    series = lambda v: {n: v for n in names}
-    sweep = {str(t): series(1000 + t) for t in range(1, 7)}
+    """A partial results document: two experiments of fourteen."""
+    names = G1 + G2
     return {
-        "fig3": {k: {n: 100 for n in GROUP1}
-                 for k in ("TrueRR", "MaskedRR", "CSwitch", "BaseCase")},
-        "fig5": {str(t): {n: 1000 - t for n in GROUP1}
-                 for t in range(1, 7)},
-        "speedup_summary": {n: {"peak": 0.25, "best_threads": 3}
-                            for n in names},
-        "ablation_commit_depth": {"1": 400, "2": 390, "4": 380, "8": 379},
+        "fetch": {label: {n: _point(100) for n in names}
+                  for label in ("TrueRR", "MaskedRR", "CSwitch", "BaseCase")},
+        "commit_depth": {label: {n: _point(400 - int(label))
+                                 for n in ("LL1", "Water")}
+                         for label in ("1", "2", "4", "8")},
     }
 
 
 def test_build_with_partial_results():
     text = genexp.build(_fake_results())
     assert "# EXPERIMENTS" in text
-    assert "Figure 3" in text
-    assert "Figure 5" in text
-    assert "peak improvement" in text
-    assert "Commit-window depth" in text
-    # Missing experiments degrade gracefully.
-    assert "not in results.json" in text
+    assert "Figures 3-4" in text
+    assert "| total | 1,100 | 1,100 | 1,100 | 1,100 | +0.0% |" in text
+    assert "`commit_depth`" in text
+    # Missing experiments degrade gracefully, and their claims are
+    # left out of the verdicts.
+    assert "`threads` not in results.json" in text
+    assert "`fig3.policies_comparable`" in text
+    assert "`fig5.most_gain`" not in text
 
 
 def test_markdown_tables_well_formed():
@@ -52,3 +54,12 @@ def test_helpers():
     assert genexp.pct(0.256) == "+25.6%"
     table = genexp.table(["a", "b"], [[1, 2]])
     assert table.count("\n") == 2
+
+
+def test_every_claim_reads_a_declared_experiment():
+    names = [claim.name for claim in CLAIMS]
+    assert len(names) == len(set(names))
+    for claim in CLAIMS:
+        assert claim.experiments and all(
+            name in genexp.EXPERIMENTS for name in claim.experiments)
+        assert claim.diverges is None or claim.diverges.strip()

@@ -5,7 +5,8 @@ names a workload and the configuration fields that differ from the
 defaults, and pins exact cycle counts (plus commit/squash/mispredict
 totals and the workload checksum) and the profiled call count. The
 cases sample the paper's thread, fetch-policy, commit-policy, SU-depth
-and cache sweeps, plus stall-heavy points for the fast-forward. The
+and cache sweeps, every other knob the experiment grid varies, plus
+stall-heavy points for the fast-forward. The
 engine — incremental scheduling-unit indexes and the idle-cycle
 fast-forward — must reproduce every number bit-identically, with
 fast-forward enabled *and* disabled. Any diff here means a timing-model
@@ -42,6 +43,26 @@ def test_fixture_and_cases_agree():
         assert stored[label]["config"] == {
             key: value for key, value in spec.items()
             if value != defaults[key]}
+
+
+def _varied(config):
+    """The ``to_spec`` fields where ``config`` leaves the defaults."""
+    defaults = MachineConfig().to_spec()
+    return {key for key, value in config.to_spec().items()
+            if value != defaults[key]}
+
+
+def test_every_knob_the_paper_grid_varies_has_a_golden_case():
+    # A cycle change under a knob that only the experiment grid varies
+    # would otherwise surface only in a cold benchmark run, not here or
+    # in repro check. A new experiment knob needs a case too.
+    from repro.harness.experiments import EXPERIMENTS
+
+    varied = set().union(*(_varied(config)
+                           for experiment in EXPERIMENTS.values()
+                           for _, config in experiment.columns()))
+    pinned = set().union(*(_varied(case.config) for case in CASES.values()))
+    assert varied - pinned == set(), "add a golden case for each"
 
 
 @pytest.mark.parametrize("fast_forward", [True, False],

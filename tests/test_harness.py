@@ -1,22 +1,12 @@
-"""Harness tests: runner memoization, experiment drivers on a tiny
+"""Harness tests: runner memoization, the experiment reader on a tiny
 workload subset, and table rendering."""
 
 import pytest
 
 from repro.core import CommitPolicy, FetchPolicy, MachineConfig
-from repro.harness import (
-    Runner,
-    cache_study,
-    commit_study,
-    fetch_policy_study,
-    format_table,
-    fu_study,
-    fu_usage_study,
-    series_table,
-    speedup_summary,
-    su_depth_study,
-    thread_sweep,
-)
+from repro.harness import (Runner, experiment_results, format_table,
+                           series_table)
+from repro.harness.claims import peak
 from repro.harness.experiments import speedup
 from repro.isa.opcodes import FuClass
 from repro.lang import compile_source
@@ -86,37 +76,43 @@ def test_runner_flags_wrong_checksum():
 
 
 def test_fetch_policy_study_shape(runner):
-    series = fetch_policy_study(runner, [TINY], nthreads=2)
+    series = experiment_results(runner, "fetch", [TINY], (2,))
     assert set(series) == {"TrueRR", "MaskedRR", "CSwitch", "BaseCase"}
     assert all("Tiny" in row for row in series.values())
+    assert series["BaseCase"]["Tiny"].nthreads == 1
 
 
 def test_thread_sweep_shape(runner):
-    sweep = thread_sweep(runner, [TINY], threads=(1, 2))
-    assert set(sweep) == {1, 2}
-    assert sweep[1]["Tiny"] > 0
+    sweep = experiment_results(runner, "threads", [TINY], (1, 2))
+    assert set(sweep) == {"1T", "2T"}
+    assert sweep["1T"]["Tiny"].cycles > 0
 
 
 def test_cache_study_shape(runner):
-    study = cache_study(runner, [TINY], threads=(1, 2))
-    assert set(study) == {"direct", "assoc"}
-    entry = study["direct"][2]
-    assert 0 <= entry["hit_rates"]["Tiny"] <= 1
-    assert entry["cycles"]["Tiny"] > 0
+    study = experiment_results(runner, "cache", [TINY], (1, 2))
+    assert set(study) == {"1T/direct", "1T/assoc", "2T/direct", "2T/assoc"}
+    result = study["2T/direct"]["Tiny"]
+    assert 0 <= result.stats.cache_hit_rate <= 1
+    assert result.cycles > 0
 
 
 def test_su_depth_study_shape(runner):
-    study = su_depth_study(runner, [TINY], depths=(32, 64), threads=(1, 2))
-    assert set(study) == {(1, 32), (1, 64), (2, 32), (2, 64)}
+    study = experiment_results(runner, "su", [TINY], (1, 2))
+    assert set(study) == {f"{n}T/su{depth}" for n in (1, 2)
+                          for depth in (32, 64, 128, 256)}
+    assert study["2T/su32"]["Tiny"].stats.config.su_entries == 32
 
 
 def test_fu_study_shape(runner):
-    study = fu_study(runner, [TINY], threads=(2,))
-    assert set(study) == {(2, "default"), (2, "enhanced")}
+    study = experiment_results(runner, "fu", [TINY], (2,))
+    assert set(study) == {"2T/default", "2T/enhanced"}
 
 
 def test_fu_usage_study_reports_extra_units(runner):
-    usage = fu_usage_study(runner, [TINY], nthreads=2)
+    from repro.core.config import FU_DEFAULT
+
+    result = experiment_results(runner, "fu", [TINY], (2,))["2T/enhanced"]
+    usage = result["Tiny"].stats.extra_fu_usage(FU_DEFAULT)
     assert FuClass.IALU in usage
     assert len(usage[FuClass.IALU]) == 2  # enhanced adds two ALUs
     for fractions in usage.values():
@@ -124,7 +120,7 @@ def test_fu_usage_study_reports_extra_units(runner):
 
 
 def test_commit_study_shape(runner):
-    study = commit_study(runner, [TINY], nthreads=2)
+    study = experiment_results(runner, "commit", [TINY], (2,))
     assert set(study) == {"Multiple", "Lowest"}
 
 
@@ -134,10 +130,11 @@ def test_speedup_formula():
 
 
 def test_speedup_summary_shape(runner):
-    summary = speedup_summary(runner, [TINY], threads=(1, 2))
-    entry = summary["Tiny"]
-    assert entry["best_threads"] == 2
-    assert 2 in entry["per_thread"]
+    # Section 5.2's peak: the best of 2+ threads over one thread.
+    runs = experiment_results(runner, "threads", [TINY], (1, 2))
+    sweep = {label: row["Tiny"].cycles for label, row in runs.items()}
+    assert peak(sweep) == (speedup(sweep["2T"], sweep["1T"]), "2T")
+    assert peak({"1T": 100, "2T": 80, "3T": 50, "4T": 50}) == (1.0, "3T")
 
 
 def test_decoded_program_is_cached_and_prebuilt():

@@ -1,5 +1,6 @@
 """Engine gate: fixture comparison, fault injection, repro check."""
 
+import gc
 import json
 
 import pytest
@@ -66,8 +67,9 @@ def test_check_baseline_ignores_labels_missing_from_baseline(tmp_path):
 
 
 def test_matrix_labels_match_committed_baseline():
-    # Every case the earlier engine yardsticks pinned stays pinned, and
-    # the eight two-thread sweep members add up to the old aggregate.
+    # Every case the earlier engine yardsticks pinned stays pinned, the
+    # eight two-thread sweep members add up to the old aggregate, and
+    # each knob only the experiment grid varies has its own case.
     pinned = {
         "LL1-4t-smalldirect", "LL2-1t-default", "LL2-1t-maskedrr-missheavy",
         "LL2-2t-missheavy", "LL2-4t-maskedrr", "LL3-2t-su32-norename",
@@ -78,7 +80,9 @@ def test_matrix_labels_match_committed_baseline():
     sweep = {"LL2-2t-su32", "LL2-2t-default", "LL2-2t-su128",
              "LL2-2t-mp64", "LL2-2t-missheavy", "LL2-2t-icount",
              "LL2-2t-maskedrr", "LL2-2t-nobypass"}
-    assert set(CASES) == pinned | sweep
+    knobs = {"LL2-2t-enhanced", "LL2-2t-maskedrr-longlat", "LL2-2t-private",
+             "LL2-2t-sb4", "MPD-2t-sb16"}
+    assert set(CASES) == pinned | sweep | knobs
     assert sum(CASES[label].pins["cycles"] for label in sweep) == 120_405
 
 
@@ -181,6 +185,37 @@ def test_repro_check_update_repins_calls_only(tmp_path, capsys):
                  "--no-ledger"]) == 1
     assert "REFUSED" in capsys.readouterr().err
     assert path.read_text() == before
+
+
+class _Phoenix:
+    """Cyclic garbage whose finalizer makes calls and leaves another
+    one behind, so every collection has a finalizer to run."""
+
+    alive = True
+
+    def __init__(self):
+        self.cycle = self
+
+    def __del__(self):
+        if _Phoenix.alive:
+            abs(-1)
+            _Phoenix()
+
+
+def test_count_calls_ignores_pending_garbage_collections():
+    case = CASES["LL5-1t-mp32"]
+    sentry.build(case).run()
+    clean = sentry.count_calls(case)
+    thresholds = gc.get_threshold()
+    _Phoenix.alive = True
+    _Phoenix()
+    gc.set_threshold(1)
+    try:
+        assert sentry.count_calls(case) == clean
+    finally:
+        gc.set_threshold(*thresholds)
+        _Phoenix.alive = False
+        gc.collect()
 
 
 def test_repro_check_unknown_entry_exits_2(capsys):

@@ -8,6 +8,7 @@ parser sees responses split at awkward places, in HTTP/1.0, with
 
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -27,7 +28,9 @@ class _ScriptedServer:
     """Answers the n-th request head it reads with ``replies[n]``: a
     list of byte chunks, sent with a short pause between them, or
     ``None`` to close the connection unanswered. A connection is closed
-    after a reply whose last chunk is followed by ``"close"``."""
+    after a reply whose last chunk is followed by ``"close"``, and reset
+    (``SO_LINGER`` 0, so the peer reads ``ECONNRESET``) after one
+    followed by ``"reset"``."""
 
     def __init__(self, replies):
         self.replies = list(replies)
@@ -63,6 +66,11 @@ class _ScriptedServer:
             if chunks is None:
                 return
             for chunk in chunks:
+                if chunk == "reset":
+                    time.sleep(0.05)
+                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                    struct.pack("ii", 1, 0))
+                    return
                 if chunk == "close":
                     return
                 conn.sendall(chunk)
@@ -180,6 +188,21 @@ def test_a_truncated_event_stream_raises_client_disconnect(scripted):
         for record in client.stream("j" * 16):
             seen.append(record["event"])
     assert seen == ["queued"]
+
+
+def test_a_stream_reset_mid_flight_falls_back_to_polling(scripted):
+    queued, = _records("queued")
+    done = {"job_id": "j" * 16, "state": "done", "result": {"cycles": 7}}
+    server, client = scripted(
+        [_reply(body=b'{"job_id": "' + b"j" * 16 + b'", "state": "queued"}',
+                head_lines=("Connection: close",)), "close"],
+        [_STREAM_HEAD + queued, "reset"],
+        [_reply(body=json.dumps(done).encode())])
+    assert client.run_job({"workload": "LL2"}) == done
+    assert server.requests[1].startswith("GET /v1/jobs/" + "j" * 16
+                                         + "/events")
+    assert server.requests[2].startswith("GET /v1/jobs/" + "j" * 16 + " ")
+    client.close()
 
 
 def test_metrics_text_returns_the_exposition(scripted):
